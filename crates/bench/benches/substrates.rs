@@ -1,5 +1,5 @@
-//! Wall-clock benchmarks of the individual substrates: the centralized DMP
-//! embedder (the baseline's solver and the merge skeleton solver), the
+//! Wall-clock benchmarks of the individual substrates: the centralized
+//! left-right embedder (the baseline's solver and the output epilogue), the
 //! CONGEST kernel protocols (T3's building blocks), the routing scheduler,
 //! and the Lemma 5.3 symmetry breaking (T4). Timing is hand-rolled via
 //! `planar_bench::timing` since criterion cannot be vendored offline.
@@ -14,10 +14,10 @@ use planar_lib::gen;
 
 const SAMPLES: usize = 10;
 
-fn bench_dmp() {
-    for n in [64usize, 256, 1024] {
+fn bench_embed() {
+    for n in [64usize, 256, 1024, 4096] {
         let g = gen::random_maximal_planar(n, 9);
-        bench(&format!("dmp_embed/{n}"), SAMPLES, || {
+        bench(&format!("embed/{n}"), SAMPLES, || {
             planar_lib::embed(&g).unwrap().vertex_count()
         });
     }
@@ -69,7 +69,7 @@ fn bench_symmetry() {
 }
 
 fn main() {
-    bench_dmp();
+    bench_embed();
     bench_kernel_leader_bfs();
     bench_routing();
     bench_symmetry();

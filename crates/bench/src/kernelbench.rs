@@ -40,11 +40,10 @@
 //! random-maximal-planar graph, reporting wall time, the execution
 //! context's retained kernel footprint, and peak RSS. The centralized
 //! fidelity epilogue is deliberately *excluded*: it is a
-//! kernel-independent stand-in whose textbook DMP solver is
-//! quadratic-ish in the block size (a documented deviation, see the
-//! `driver.rs` fidelity note) and would dominate — and at n = 10^6,
-//! preclude — the run without exercising one byte of the state this
-//! stage measures.
+//! kernel-independent stand-in (a documented deviation, see the
+//! `driver.rs` fidelity note) whose left-right embedder is linear but
+//! allocates its own working set, which would blur the kernel footprint
+//! this stage measures without exercising one byte of it.
 //!
 //! Entry points: [`kernel_bench`] produces rows, [`write_json`] emits the
 //! `BENCH_kernel.json` record (hand-rolled JSON; `serde_json` is not
@@ -363,10 +362,9 @@ impl EmbedMemRow {
 /// the million-node acceptance stage: it must *complete* — invariant
 /// checking and certification are off, as for every large benchmark run,
 /// so the measurement is the distributed pipeline itself. The
-/// centralized DMP epilogue is excluded (see the module doc): its
-/// quadratic-ish cost is a property of the centralized stand-in, not of
-/// the kernel state under test, and including it would cap the stage far
-/// below a million nodes.
+/// centralized epilogue is excluded (see the module doc): its cost and
+/// memory belong to the centralized stand-in, not to the kernel state
+/// under test.
 pub fn embed_mem(n: usize) -> EmbedMemRow {
     let g = gen::random_maximal_planar(n, RMP_SEED);
     let edges = g.edge_count();

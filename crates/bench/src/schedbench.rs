@@ -80,7 +80,7 @@ fn substrate(family: &'static str, n: usize) -> planar_graph::Graph {
 
 fn config(scheduler: Scheduler) -> EmbedderConfig {
     EmbedderConfig {
-        // Invariant checking is host-side quadratic-ish work outside the
+        // Invariant checking is host-side superlinear work outside the
         // scheduler's control. Off: the cell times the recursion itself.
         check_invariants: false,
         certify: false,

@@ -6,8 +6,8 @@
 //! Implemented with honest accounting: a leader is elected (kernel), every
 //! edge is shipped to the leader along the BFS tree (packet-scheduled, so
 //! congestion near the root is paid for), the leader embeds locally with
-//! the centralized DMP embedder, and every vertex's rotation is shipped
-//! back down.
+//! the centralized linear-time left-right embedder (`planar_lib::embed`),
+//! and every vertex's rotation is shipped back down.
 
 use congest_sim::routing::{schedule, Transfer};
 use congest_sim::SimConfig;

@@ -1,21 +1,17 @@
-//! Whole-graph planarity testing and embedding, built on the DMP block
-//! embedder, plus constrained ("pinned outer face") embedding.
+//! Whole-graph planarity testing and embedding, built on the linear-time
+//! left-right embedder, plus constrained ("pinned outer face") embedding.
 
-use std::collections::HashMap;
-
-use planar_graph::biconnected::BiconnectedDecomposition;
 use planar_graph::{Graph, RotationSystem, VertexId};
 
-use crate::dmp::embed_biconnected;
+use crate::lr::embed_lr;
 use crate::PlanarityError;
 
 /// Computes a combinatorial planar embedding of `g` (any simple graph,
 /// connected or not).
 ///
-/// The graph is decomposed into biconnected blocks; each block is embedded by
-/// DMP and the blocks are composed at cut vertices (any arrangement of blocks
-/// around a cut vertex is planar — the freedom Figure 3 of the paper
-/// describes).
+/// Runs the left-right planarity test on the whole graph in `O(n + m)` time
+/// (after the `m <= 3n - 6` density guard). The result depends only on the
+/// graph, so two calls on one graph return identical rotations.
 ///
 /// # Errors
 ///
@@ -41,27 +37,8 @@ pub fn embed(g: &Graph) -> Result<RotationSystem, PlanarityError> {
     if n >= 3 && m > 3 * n - 6 {
         return Err(PlanarityError::TooManyEdges { n, m });
     }
-    let bc = BiconnectedDecomposition::compute(g);
-    let mut rot: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-    for b in 0..bc.block_count() {
-        let verts = bc.block_vertices(b);
-        let index: HashMap<VertexId, u32> = verts
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, i as u32))
-            .collect();
-        let mut sub = Graph::new(verts.len());
-        for &e in bc.block_edges(b) {
-            sub.add_edge(VertexId(index[&e.lo()]), VertexId(index[&e.hi()]))
-                .expect("block edges are unique");
-        }
-        let sub_rot = embed_biconnected(&sub)?;
-        for (local, order) in sub_rot.into_iter().enumerate() {
-            let global = verts[local];
-            rot[global.index()].extend(order.into_iter().map(|w| verts[w.index()]));
-        }
-    }
-    Ok(RotationSystem::new(g, rot).expect("block composition yields valid rotations"))
+    let rot = embed_lr(g)?;
+    Ok(RotationSystem::new(g, rot).expect("the left-right embedder yields valid rotations"))
 }
 
 /// Returns `true` if `g` is planar.
@@ -137,16 +114,14 @@ pub fn embed_pinned(g: &Graph, pins: &[VertexId]) -> Result<PinnedEmbedding, Pla
     let aug_rot = match embed(&aug) {
         Ok(r) => r,
         Err(_) => {
-            return if is_planar(g) {
-                Err(PlanarityError::UnsatisfiableConstraint {
-                    reason: format!(
-                        "no planar embedding of the graph has all {} pinned vertices on one face",
-                        unique_pins.len()
-                    ),
-                })
-            } else {
-                Err(PlanarityError::NonPlanar { embedded_edges: 0 })
-            };
+            // Report the graph's own obstruction if it has one.
+            embed(g)?;
+            return Err(PlanarityError::UnsatisfiableConstraint {
+                reason: format!(
+                    "no planar embedding of the graph has all {} pinned vertices on one face",
+                    unique_pins.len()
+                ),
+            });
         }
     };
     // The cyclic order of pins on the merged face is the rotation around the

@@ -9,10 +9,12 @@ use planar_graph::GraphError;
 pub enum PlanarityError {
     /// The input graph is not planar; embedding is impossible.
     ///
-    /// Carries the number of edges already embedded when the obstruction was
-    /// found (useful for diagnostics).
+    /// Carries how far the left-right test got before it found the
+    /// obstruction (useful for diagnostics).
     NonPlanar {
-        /// Edges successfully embedded before the obstruction.
+        /// Edges whose left/right constraints the test had integrated
+        /// without conflict when it found two return-edge intervals that
+        /// must lie on both sides at once; always less than the edge count.
         embedded_edges: usize,
     },
     /// The input graph exceeds the planar edge bound `m <= 3n - 6`, detected
@@ -39,7 +41,7 @@ impl fmt::Display for PlanarityError {
             PlanarityError::NonPlanar { embedded_edges } => {
                 write!(
                     f,
-                    "graph is not planar (obstruction after embedding {embedded_edges} edges)"
+                    "graph is not planar (left-right conflict after {embedded_edges} consistent edges)"
                 )
             }
             PlanarityError::TooManyEdges { n, m } => {

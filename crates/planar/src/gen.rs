@@ -3,7 +3,8 @@
 //!
 //! All generators are deterministic given their seed, produce connected
 //! simple graphs, and are planar by construction (verified by property tests
-//! against the DMP embedder).
+//! against the left-right embedder, and differentially against a DMP oracle
+//! in `tests/lr_vs_dmp.rs`).
 
 use planar_graph::{Graph, VertexId};
 use rand::rngs::StdRng;

@@ -9,8 +9,10 @@
 //!    planarity facts computed centrally.
 //! 2. **The trivial baseline** (footnote 2 of the paper): gather the whole
 //!    topology and embed locally with the [`embed`] function, the analogue
-//!    of Hopcroft–Tarjan in our pipeline (implemented as the simpler DMP
-//!    algorithm, which also produces an embedding, not just a yes/no answer).
+//!    of Hopcroft–Tarjan in our pipeline: the linear-time left-right
+//!    planarity test of de Fraysseix, Ossona de Mendez and Rosenstiehl, with
+//!    embedding extraction, so it returns a rotation system, not just a
+//!    yes/no answer.
 //! 3. **Merge skeleton solving**: the distributed algorithm's coordinators
 //!    embed small summarized "outline" graphs with pinned outer faces via
 //!    [`embed_pinned`].
@@ -33,10 +35,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod dmp;
 mod embed;
 mod error;
 pub mod gen;
+mod lr;
 mod outerplanar;
 
 pub use embed::{embed, embed_pinned, is_planar, PinnedEmbedding};

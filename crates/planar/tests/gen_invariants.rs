@@ -6,8 +6,8 @@
 //! where claimed): a generator that quietly emitted a disconnected or
 //! non-planar instance would turn every downstream shadow-check violation
 //! into noise. This suite pins the contract at the source, against the
-//! centralized checks (`is_planar` via the DMP embedder, `is_outerplanar`),
-//! across every family, several sizes, and several seeds.
+//! centralized checks (`is_planar` via the left-right embedder,
+//! `is_outerplanar`), across every family, several sizes, and several seeds.
 
 use planar_lib::gen;
 use planar_lib::{embed, is_outerplanar, is_planar};

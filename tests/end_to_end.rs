@@ -1,6 +1,6 @@
 //! End-to-end integration tests spanning all crates: distributed embedder
-//! vs trivial baseline vs centralized DMP on every workload family, output
-//! validation, error surfaces and the paper's structural bounds.
+//! vs trivial baseline vs the centralized embedder on every workload family,
+//! output validation, error surfaces and the paper's structural bounds.
 
 use congest_sim::SimConfig;
 use planar_embedding::{embed_baseline, embed_distributed, EmbedError, EmbedderConfig};

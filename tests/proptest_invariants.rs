@@ -70,9 +70,9 @@ fn structural_bounds() {
     }
 }
 
-/// The centralized DMP embedder agrees with the Euler-genus verifier.
+/// The centralized left-right embedder agrees with the Euler-genus verifier.
 #[test]
-fn dmp_embeddings_verify() {
+fn lr_embeddings_verify() {
     let mut rng = StdRng::seed_from_u64(0xD321);
     for case in 0..CASES {
         let g = planar_graph_case(&mut rng);
