@@ -36,7 +36,7 @@ impl Certification {
     }
 }
 
-fn lift(e: CertError) -> EmbedError {
+pub(crate) fn lift(e: CertError) -> EmbedError {
     match e {
         CertError::BadInput(msg) => EmbedError::Internal(format!("certification: {msg}")),
         CertError::Sim(e) => EmbedError::Sim(e),

@@ -1,39 +1,56 @@
 //! The end-to-end distributed planar embedding algorithm (Theorem 1.1):
-//! setup, recursive partitioning, and level-by-level merging, with every
+//! setup, recursive partitioning, and bottom-up merging, with every
 //! phase's CONGEST cost measured or charged.
 //!
-//! Two schedulers drive the Section 4 recursion (selected by
-//! [`EmbedderConfig::scheduler`]):
+//! The Section 4 recursion has one product, the *recursion arena*: a
+//! `Vec<RecNode>`, root first, holding every subproblem's partition,
+//! solved part, subtree cost and merge statistics. Two builders fill it,
+//! selected by [`EmbedderConfig::scheduler`]:
 //!
-//! * [`Scheduler::LevelSync`] (the default) is *level-synchronous*: it
-//!   collects every same-level subproblem and partitions all of them in
-//!   one batched kernel invocation ([`partition_level`]) over
-//!   vertex-disjoint instances, then runs all merges bottom-up. Host-side
-//!   cost per level is proportional to the level's total subproblem size.
-//! * [`Scheduler::Sequential`] is the original depth-first recursion, one
-//!   full-graph kernel run per subproblem phase — the conformance oracle.
+//! * [`Scheduler::LevelSync`] (the default) builds it level by level:
+//!   every same-level subproblem is partitioned in one batched kernel
+//!   invocation ([`partition_level`]) over vertex-disjoint instances, then
+//!   the merges run bottom-up. Host-side cost per level is proportional to
+//!   the level's total subproblem size.
+//! * [`Scheduler::Sequential`] builds it depth first, one kernel run per
+//!   subproblem phase — the conformance oracle. The same builder rebuilds
+//!   a resident arena after a delta (`crate::incremental`): handed the old
+//!   arena and the dirty flags of the repaired tree, it adopts every clean
+//!   subtree and re-runs only the dirty chains.
 //!
-//! Both produce bit-identical rotations, metrics, statistics and
-//! certification verdicts (`tests/scheduler.rs`); the round tally composes
-//! identically because charging is order-independent and batched
-//! per-instance metrics equal the one-at-a-time runs.
+//! The [`RecursionStats`] levels and merges are one pure function of the
+//! tree and the arena, computed after either builder, so the schedulers
+//! agree on them by construction. Rotations, metrics and certification
+//! verdicts agree because batched per-instance metrics equal the
+//! one-at-a-time runs and charging is order-independent
+//! (`tests/scheduler.rs`). The density guard, the coverage check and the
+//! epilogue (output rotation plus optional certification) are each one
+//! function, shared with the incremental path.
 //!
-//! **Fidelity note** (see DESIGN.md): the distributed recursion computes,
-//! charges, and validates the full partition/merge structure, but the
-//! *final* rotation handed to the caller is produced by the centralized
-//! solver [`planar_lib::embed`] on the whole graph — the stand-in for
-//! reading the rotation out of the top-level merged part, whose content
-//! the coordinator-side skeleton solver computed piecewise. The
+//! **Fidelity note** (see DESIGN.md §11): the recursion computes, charges
+//! and validates the partition/merge *structure* only. A [`PartState`]
+//! holds just its members and leader; the merges build no embedding
+//! content, and under `check_invariants` `verify_part` embeds each merged
+//! part with the pinned embedder and discards the result. The rotation
+//! handed to the caller comes from the centralized left-right embedder
+//! ([`planar_lib::embed`]) run on the whole graph. The
 //! `merged_part_covers_graph_and_matches_centralized_blocks` regression
-//! pins the agreement between the two.
+//! pins that the top-level part covers the graph and that the graph it
+//! covers has the block structure of that rotation.
+
+use std::collections::HashMap;
 
 use congest_sim::{Metrics, Phase, SimConfig, SimError};
+use planar_cert::{
+    build_certificates, splice_certificates, splice_certificates_shifted, Certificate, SpliceStats,
+};
 use planar_graph::{Graph, RotationSystem, VertexId};
 
+use crate::certify::{certify_with_certificates, Certification};
 use crate::error::{DegradedCause, EmbedError};
 use crate::exec::ExecutionContext;
-use crate::merge::merge_parts_ctx;
-use crate::partition::{partition_level, partition_subtree_ctx, Partition};
+use crate::merge::merge_parts;
+use crate::partition::{partition_level, partition_subtree, Partition, SubProblem};
 use crate::parts::{partition_is_safe, PartState};
 use crate::resilience::auto_watchdog;
 use crate::setup::run_setup_ctx;
@@ -73,9 +90,9 @@ pub struct EmbedderConfig {
     /// Which simulation kernel executes the phases: the allocation-free
     /// CSR kernel (default) or the executable-spec reference kernel.
     pub kernel: Kernel,
-    /// How the driver walks the recursion: level-synchronous batching
-    /// (default) or the original one-run-per-subproblem depth-first
-    /// recursion. Outputs are bit-identical either way.
+    /// Which builder fills the recursion arena: level-synchronous
+    /// batching (default) or the one-run-per-subproblem depth-first
+    /// builder. Outputs are bit-identical either way.
     pub scheduler: Scheduler,
 }
 
@@ -231,92 +248,59 @@ pub fn embed_distributed(g: &Graph, cfg: &EmbedderConfig) -> Result<EmbeddingOut
     }
 }
 
-/// The distributed pipeline shared by [`embed_distributed`] and
-/// [`embed_recursion`]: setup, the density guard, and the scheduled
-/// partition/merge recursion. Returns the merged top-level part, the
-/// parallel-composed metrics (setup included), and the recursion
-/// statistics with `depth` stamped; the sequential-tally stamps are left
-/// to the caller, whose epilogue may still charge rounds.
-fn run_recursion(
-    g: &Graph,
-    cfg: &EmbedderConfig,
-    ctx: &mut ExecutionContext<'_>,
-) -> Result<(PartState, Metrics, RecursionStats), EmbedError> {
-    let n = g.vertex_count();
-    ctx.enter(Phase::Setup);
-    let (setup, setup_metrics) = run_setup_ctx(ctx)?;
-    ctx.charge(&setup_metrics);
-    // Cheap planarity guard; density violations abort before recursing.
-    if n >= 3 && g.edge_count() > 3 * n - 6 {
-        return Err(EmbedError::NonPlanar);
-    }
-
-    let mut stats = RecursionStats {
-        n,
-        bfs_depth: setup.tree.tree_depth() as usize,
-        safety_checked: cfg.check_invariants,
-        ..Default::default()
-    };
-    let mut metrics = setup_metrics;
-
-    let (part, rec_metrics) = match cfg.scheduler {
-        Scheduler::Sequential => {
-            solve_sequential(g, &setup.tree, setup.tree.root, 0, cfg, &mut stats, ctx)?
-        }
-        Scheduler::LevelSync => solve_level_sync(g, &setup.tree, cfg, &mut stats, ctx)?,
-    };
-    if part.len() != n {
-        // Message loss can leave the merged top-level part short of
-        // vertices with every phase reporting success; surface a typed
-        // failure so fault mode degrades to `PhaseIncomplete` instead of
-        // asserting (found by the DST swarm, `crates/dst`). A fault-free
-        // run can never trip this — there it is a genuine bug report.
-        return Err(EmbedError::Internal(format!(
-            "recursion merged only {} of {n} vertices",
-            part.len()
-        )));
-    }
-    metrics.add(rec_metrics);
-    stats.depth = stats.levels.len();
-    Ok((part, metrics, stats))
-}
-
-/// [`run_recursion`] with every intermediate artifact retained: the
-/// global BFS tree from setup and the full level-synchronous recursion
-/// arena, alongside the usual metrics and statistics. This is the driver
-/// entry point the incremental re-embedding path builds its resident
-/// state from (always [`Scheduler::LevelSync`] — the arena *is* the
-/// level-synchronous recursion).
-pub(crate) fn run_recursion_retained(
+/// The distributed pipeline shared by [`embed_distributed`],
+/// [`embed_recursion`] and the resident embeddings: setup, the density
+/// guard, the scheduled recursion, and the coverage check. Returns the
+/// global BFS tree, the recursion arena, the parallel-composed metrics
+/// (setup included), and the recursion statistics; the sequential-tally
+/// stamps are left to the caller, whose epilogue may still charge rounds.
+pub(crate) fn run_recursion(
     g: &Graph,
     cfg: &EmbedderConfig,
     ctx: &mut ExecutionContext<'_>,
 ) -> Result<(GlobalTree, Vec<RecNode>, Metrics, RecursionStats), EmbedError> {
-    let n = g.vertex_count();
     ctx.enter(Phase::Setup);
-    let (setup, setup_metrics) = run_setup_ctx(ctx)?;
-    ctx.charge(&setup_metrics);
+    let (setup, mut metrics) = run_setup_ctx(ctx)?;
+    ctx.charge(&metrics);
+    density_guard(g)?;
+
+    let tree = setup.tree;
+    let nodes = match cfg.scheduler {
+        Scheduler::Sequential => build_depth_first(ctx, cfg, &tree, None)?.0,
+        Scheduler::LevelSync => build_level_sync(ctx, cfg, &tree)?,
+    };
+    check_coverage(&nodes, g.vertex_count())?;
+    metrics.add(nodes[0].metrics);
+    let stats = recursion_stats(&tree, &nodes, cfg);
+    Ok((tree, nodes, metrics, stats))
+}
+
+/// The cheap planarity guard: a simple planar graph on `n ≥ 3` vertices
+/// has at most `3n − 6` edges. Density violations abort before any
+/// recursion (and before any incremental rebuild).
+pub(crate) fn density_guard(g: &Graph) -> Result<(), EmbedError> {
+    let n = g.vertex_count();
     if n >= 3 && g.edge_count() > 3 * n - 6 {
         return Err(EmbedError::NonPlanar);
     }
+    Ok(())
+}
 
-    let mut stats = RecursionStats {
-        n,
-        bfs_depth: setup.tree.tree_depth() as usize,
-        safety_checked: cfg.check_invariants,
-        ..Default::default()
-    };
-    let mut metrics = setup_metrics;
-    let nodes = solve_level_sync_retained(g, &setup.tree, cfg, &mut stats, ctx)?;
-    let merged = nodes[0].part.as_ref().expect("root solved").len();
+/// Checks that the arena's top-level part covers all `n` vertices.
+///
+/// Message loss can leave the merged top-level part short of vertices
+/// with every phase reporting success; this surfaces a typed failure so
+/// fault mode degrades to `PhaseIncomplete` instead of asserting (found by
+/// the DST swarm, `crates/dst`). A fault-free run can never trip it —
+/// there it is a genuine bug report.
+pub(crate) fn check_coverage(nodes: &[RecNode], n: usize) -> Result<(), EmbedError> {
+    let merged = nodes[0].part.as_ref().map_or(0, PartState::len);
     if merged != n {
         return Err(EmbedError::Internal(format!(
             "recursion merged only {merged} of {n} vertices"
         )));
     }
-    metrics.add(nodes[0].metrics);
-    stats.depth = stats.levels.len();
-    Ok((setup.tree, nodes, metrics, stats))
+    Ok(())
 }
 
 /// Runs only the distributed pipeline — setup plus the scheduled
@@ -336,30 +320,25 @@ pub fn embed_recursion(
     g: &Graph,
     cfg: &EmbedderConfig,
 ) -> Result<(Metrics, RecursionStats), EmbedError> {
-    let mut ctx = ExecutionContext::new(g, cfg);
-    let (_part, metrics, mut stats) = run_recursion(g, cfg, &mut ctx)?;
-    stats.sequential_rounds = ctx.rounds_used();
-    stats.phase_rounds = ctx.phase_rounds();
-    Ok((metrics, stats))
+    embed_recursion_with_memory(g, cfg).map(|(metrics, stats, _)| (metrics, stats))
 }
 
 /// [`embed_recursion`] plus the bytes retained by the execution context's
 /// kernel arenas when the recursion finishes — the figure the bench
 /// harness's memory stage records as `kernel_bytes`. Kept out of
 /// [`RecursionStats`] on purpose: retained capacity is a host-side
-/// property of the arena, not part of the scheduler-conformance contract
-/// (the two schedulers retain different arenas while producing
-/// bit-identical stats).
+/// property of the kernel cache, not part of the scheduler-conformance
+/// contract (the two schedulers leave different kernel caches warm while
+/// producing bit-identical stats).
 pub fn embed_recursion_with_memory(
     g: &Graph,
     cfg: &EmbedderConfig,
 ) -> Result<(Metrics, RecursionStats, usize), EmbedError> {
     let mut ctx = ExecutionContext::new(g, cfg);
-    let (_part, metrics, mut stats) = run_recursion(g, cfg, &mut ctx)?;
+    let (_, _, metrics, mut stats) = run_recursion(g, cfg, &mut ctx)?;
     stats.sequential_rounds = ctx.rounds_used();
     stats.phase_rounds = ctx.phase_rounds();
-    let kernel_bytes = ctx.memory_bytes();
-    Ok((metrics, stats, kernel_bytes))
+    Ok((metrics, stats, ctx.memory_bytes()))
 }
 
 fn embed_inner(
@@ -367,34 +346,13 @@ fn embed_inner(
     cfg: &EmbedderConfig,
     ctx: &mut ExecutionContext<'_>,
 ) -> Result<EmbeddingOutcome, EmbedError> {
-    let (_part, mut metrics, mut stats) = run_recursion(g, cfg, ctx)?;
-
-    // The output embedding: the content of the top-level merge (all edges
-    // embedded, no half-embedded edges left). See the module-level fidelity
-    // note: the rotation itself comes from the centralized solver.
-    let rotation = planar_lib::embed(g)?;
-    debug_assert!(rotation.is_planar_embedding());
-
-    // Optional distributed certification epilogue: the O(1)-round proof-
-    // labeling verifier runs on the same simulated network (same fault
-    // plan, reliability, and kernel), so its cost lands in the tally like
-    // any other phase.
-    let certification = if cfg.certify {
-        ctx.enter(Phase::Cert);
-        let cert = crate::certify::certify_embedding(g, &rotation, cfg)?;
-        ctx.charge(&cert.report.metrics);
+    // The tree and the arena are dropped here, before the epilogue, so
+    // they never share the peak with its working set.
+    let (_, _, mut metrics, mut stats) = run_recursion(g, cfg, ctx)?;
+    let (rotation, certification, _) = epilogue(g, cfg, ctx, None)?;
+    if let Some(cert) = &certification {
         metrics.add(cert.report.metrics);
-        if !cert.accepted() {
-            return Err(EmbedError::Internal(format!(
-                "distributed certification rejected the embedding: rejections {:?}, incomplete {:?}",
-                cert.report.rejections, cert.report.incomplete
-            )));
-        }
-        Some(cert)
-    } else {
-        None
-    };
-
+    }
     stats.sequential_rounds = ctx.rounds_used();
     stats.phase_rounds = ctx.phase_rounds();
     Ok(EmbeddingOutcome {
@@ -405,39 +363,62 @@ fn embed_inner(
     })
 }
 
-/// Records one subproblem's partition in the per-level statistics and
-/// validates Lemmas 4.1/4.2 — shared verbatim by both schedulers so their
-/// statistics agree field for field.
-fn note_partition(
-    g: &Graph,
-    tree: &GlobalTree,
-    size: usize,
-    level: usize,
-    partition: &Partition,
-    cfg: &EmbedderConfig,
-    stats: &mut RecursionStats,
-) -> Result<(), EmbedError> {
-    {
-        let lvl = &mut stats.levels[level];
-        lvl.problems += 1;
-        lvl.max_size = lvl.max_size.max(size);
-        lvl.rounds = lvl.rounds.max(partition.metrics.rounds);
-        for part in &partition.parts {
-            let ratio = part.members.len() as f64 / size as f64;
-            lvl.max_child_ratio = lvl.max_child_ratio.max(ratio);
-            lvl.max_part_depth = lvl
-                .max_part_depth
-                .max(tree.subtree_depth(part.root) as usize);
-        }
-    }
-    validate_partition(g, size, partition, cfg)
+/// Resident certificates the epilogue splices a scratch build against,
+/// so only changed certificates need re-distribution.
+pub(crate) struct SpliceFrom<'a> {
+    /// The resident certificate set (index = resident vertex id).
+    pub(crate) old: &'a [Certificate],
+    /// `Some(v)` when resident ids above `v` shift down by one.
+    pub(crate) removed: Option<VertexId>,
 }
 
-/// The Lemma 4.1/4.2 gate on one subproblem's partition, shared by both
-/// schedulers and the incremental rebuild: every hanging part must stay
+/// The epilogue every embedding path ends in. The output rotation is the
+/// content of the top-level merge; per the module-level fidelity note it
+/// comes from the centralized embedder. With [`EmbedderConfig::certify`]
+/// the O(1)-round proof-labeling verifier then runs on the same simulated
+/// network (same fault plan, reliability and kernel), charged to
+/// [`Phase::Cert`]; `splice` reuses resident certificates where the
+/// scratch build agrees with them and reports the splice accounting.
+pub(crate) fn epilogue(
+    g: &Graph,
+    cfg: &EmbedderConfig,
+    ctx: &mut ExecutionContext<'_>,
+    splice: Option<SpliceFrom<'_>>,
+) -> Result<(RotationSystem, Option<Certification>, Option<SpliceStats>), EmbedError> {
+    let rotation = planar_lib::embed(g)?;
+    debug_assert!(rotation.is_planar_embedding());
+    if !cfg.certify {
+        return Ok((rotation, None, None));
+    }
+
+    ctx.enter(Phase::Cert);
+    let scratch = build_certificates(g, &rotation).map_err(crate::certify::lift)?;
+    let (certificates, splice_stats) = match splice {
+        None => (scratch, None),
+        Some(SpliceFrom { old, removed }) => {
+            let (spliced, stats) = match removed {
+                Some(v) => splice_certificates_shifted(old, scratch, v.index()),
+                None => splice_certificates(old, scratch),
+            };
+            (spliced, Some(stats))
+        }
+    };
+    let cert = certify_with_certificates(g, &rotation, certificates, cfg)?;
+    ctx.charge(&cert.report.metrics);
+    if !cert.accepted() {
+        return Err(EmbedError::Internal(format!(
+            "distributed certification rejected the embedding: rejections {:?}, incomplete {:?}",
+            cert.report.rejections, cert.report.incomplete
+        )));
+    }
+    Ok((rotation, Some(cert), splice_stats))
+}
+
+/// The Lemma 4.1/4.2 gate on one subproblem's partition, run by both
+/// builders on every partition they compute: every hanging part must stay
 /// within the 2/3 ratio, and (under `check_invariants`) the partition
 /// must be safe in the Definition 3.1 sense.
-pub(crate) fn validate_partition(
+fn validate_partition(
     g: &Graph,
     size: usize,
     partition: &Partition,
@@ -464,152 +445,98 @@ pub(crate) fn validate_partition(
     Ok(())
 }
 
-/// Records a size-1 subproblem (a recursion leaf) in the level statistics
-/// and returns its trivial solution.
-fn solve_leaf(root: VertexId, level: usize, stats: &mut RecursionStats) -> (PartState, Metrics) {
-    stats.levels[level].problems += 1;
-    stats.levels[level].max_size = stats.levels[level].max_size.max(1);
-    (PartState::new(vec![root]), Metrics::new())
-}
-
-/// Makes sure `stats.levels` reaches `level`.
-fn ensure_level(stats: &mut RecursionStats, level: usize) {
-    if stats.levels.len() <= level {
-        stats.levels.push(LevelStats {
-            level,
-            ..Default::default()
-        });
-    }
-}
-
-/// [`Scheduler::Sequential`]: recursively solves the subproblem rooted at
-/// `root`, one kernel invocation per phase; returns the merged part and
-/// the (parallel-composed) cost. The conformance oracle for
-/// [`solve_level_sync`].
-fn solve_sequential(
-    g: &Graph,
-    tree: &GlobalTree,
-    root: VertexId,
-    level: usize,
-    cfg: &EmbedderConfig,
-    stats: &mut RecursionStats,
-    ctx: &mut ExecutionContext<'_>,
-) -> Result<(PartState, Metrics), EmbedError> {
-    let size = tree.subtree_size[root.index()] as usize;
-    ensure_level(stats, level);
-    if size == 1 {
-        return Ok(solve_leaf(root, level, stats));
-    }
-
-    ctx.enter(Phase::Partition);
-    let partition = partition_subtree_ctx(ctx, tree, root)?;
-    ctx.charge(&partition.metrics);
-    note_partition(g, tree, size, level, &partition, cfg, stats)?;
-
-    // Recurse on all hanging parts; they are vertex-disjoint, so their costs
-    // compose in parallel.
-    let mut children_metrics = Metrics::new();
-    let mut hanging = Vec::with_capacity(partition.parts.len());
-    for sub in &partition.parts {
-        let (part, m) = solve_sequential(g, tree, sub.root, level + 1, cfg, stats, ctx)?;
-        children_metrics.join_parallel(m);
-        hanging.push(part);
-    }
-
-    ctx.enter(Phase::Merge);
-    let merged = merge_parts_ctx(ctx, partition.p0, hanging, cfg.check_invariants)?;
-    ctx.charge(&merged.metrics);
-    stats.merges.push(merged.stats);
-
-    let mut total = partition.metrics;
-    total.add(children_metrics);
-    total.add(merged.metrics);
-    stats.levels[level].rounds = stats.levels[level].rounds.max(total.rounds);
-    Ok((merged.part, total))
-}
-
-/// One subproblem of the level-synchronous recursion arena.
+/// One subproblem of the recursion arena.
 ///
-/// The arena is *retained*: after a run, every node still holds its
-/// partition, solved part, and merge statistics (nothing is `take()`n in
-/// the merge pass). That makes the arena a resumable artifact — the
-/// incremental re-embedding path (`crate::incremental`) re-runs only the
-/// merges of nodes whose subtree contains a delta endpoint and reuses
-/// every other node's retained state verbatim.
+/// The arena is *retained*: after a build, every node still holds its
+/// partition, solved part, and merge statistics (merges clone what they
+/// consume). That makes the arena a resumable artifact — the incremental
+/// re-embedding path (`crate::incremental`) re-runs only the merges of
+/// nodes whose subtree contains a delta endpoint and reuses every other
+/// node's retained state verbatim.
 pub(crate) struct RecNode {
     pub(crate) root: VertexId,
     pub(crate) level: usize,
     pub(crate) children: Vec<usize>,
-    /// `Some` for internal nodes after their level's batched partition.
+    /// `Some` for internal nodes once they are partitioned.
     pub(crate) partition: Option<Partition>,
     /// The solved part; set for leaves immediately, for internal nodes by
-    /// the bottom-up merge pass.
+    /// their merge.
     pub(crate) part: Option<PartState>,
-    /// Parallel-composed cost of this subtree (partition + children in
-    /// parallel + merge) — identical to what [`solve_sequential`] returns.
+    /// Parallel-composed cost of this subtree: partition, then the
+    /// children in parallel, then the merge.
     pub(crate) metrics: Metrics,
-    /// The node's merge statistics, collected into `stats.merges` in DFS
-    /// post-order afterwards so the two schedulers' reports coincide.
+    /// The node's merge statistics (`None` for leaves).
     pub(crate) merge_stats: Option<MergeStats>,
 }
 
-/// [`Scheduler::LevelSync`]: the level-synchronous recursion. Top-down,
-/// each level's subproblems are partitioned in *one* batched kernel
-/// invocation over vertex-disjoint instances; bottom-up, the merges run
-/// level by level. Same rotation, metrics, and statistics as
-/// [`solve_sequential`]: per-instance metrics are bit-identical to
-/// one-at-a-time runs, and all charges compose order-independently.
-fn solve_level_sync(
-    g: &Graph,
-    tree: &GlobalTree,
-    cfg: &EmbedderConfig,
-    stats: &mut RecursionStats,
-    ctx: &mut ExecutionContext<'_>,
-) -> Result<(PartState, Metrics), EmbedError> {
-    let mut nodes = solve_level_sync_retained(g, tree, cfg, stats, ctx)?;
-    let root_metrics = nodes[0].metrics;
-    let part = nodes[0].part.take().expect("root solved");
-    Ok((part, root_metrics))
+impl RecNode {
+    /// An unsolved node; a size-1 subproblem (a leaf) is solved on the
+    /// spot, since its trivial part is graph-independent.
+    fn new(tree: &GlobalTree, root: VertexId, level: usize) -> Self {
+        let leaf = tree.subtree_size[root.index()] == 1;
+        RecNode {
+            root,
+            level,
+            children: Vec::new(),
+            partition: None,
+            part: leaf.then(|| PartState::new(vec![root])),
+            metrics: Metrics::new(),
+            merge_stats: None,
+        }
+    }
 }
 
-/// [`solve_level_sync`] with the recursion arena kept alive: identical
-/// execution, but instead of surrendering just the root part it returns
-/// the full arena — every node's partition, solved part, metrics, and
-/// merge statistics retained — for the incremental re-embedding path to
-/// resume from.
-pub(crate) fn solve_level_sync_retained(
-    g: &Graph,
-    tree: &GlobalTree,
-    cfg: &EmbedderConfig,
-    stats: &mut RecursionStats,
+/// Merges internal node `ni` once its partition is set and its children
+/// are solved, and stamps its part, subtree cost and merge statistics.
+fn merge_node(
     ctx: &mut ExecutionContext<'_>,
-) -> Result<Vec<RecNode>, EmbedError> {
-    let mut nodes: Vec<RecNode> = vec![RecNode {
-        root: tree.root,
-        level: 0,
-        children: Vec::new(),
-        partition: None,
-        part: None,
-        metrics: Metrics::new(),
-        merge_stats: None,
-    }];
+    cfg: &EmbedderConfig,
+    nodes: &mut [RecNode],
+    ni: usize,
+) -> Result<(), EmbedError> {
+    let partition = nodes[ni]
+        .partition
+        .as_ref()
+        .expect("merged nodes are partitioned");
+    let (p0, mut total) = (partition.p0.clone(), partition.metrics);
+    let mut children_metrics = Metrics::new();
+    let mut hanging = Vec::with_capacity(nodes[ni].children.len());
+    for &ci in &nodes[ni].children {
+        children_metrics.join_parallel(nodes[ci].metrics);
+        hanging.push(nodes[ci].part.clone().expect("child solved before parent"));
+    }
+    ctx.enter(Phase::Merge);
+    let merged = merge_parts(ctx, p0, hanging, cfg.check_invariants)?;
+    ctx.charge(&merged.metrics);
 
-    // Top-down: partition every level in one batched kernel invocation.
+    total.add(children_metrics);
+    total.add(merged.metrics);
+    let node = &mut nodes[ni];
+    node.part = Some(merged.part);
+    node.metrics = total;
+    node.merge_stats = Some(merged.stats);
+    Ok(())
+}
+
+/// The level-synchronous builder ([`Scheduler::LevelSync`]). Top-down,
+/// each level's subproblems are partitioned in *one* batched kernel
+/// invocation over vertex-disjoint instances; bottom-up, the merges run
+/// level by level. Merges stay per-subproblem: their cost is charged
+/// analytically and their symmetry breaking runs on per-merge virtual
+/// graphs. The arena comes out in level order.
+fn build_level_sync(
+    ctx: &mut ExecutionContext<'_>,
+    cfg: &EmbedderConfig,
+    tree: &GlobalTree,
+) -> Result<Vec<RecNode>, EmbedError> {
+    let g = ctx.graph();
+    let mut nodes = vec![RecNode::new(tree, tree.root, 0)];
     let mut frontier: Vec<usize> = vec![0];
-    let mut level = 0usize;
     while !frontier.is_empty() {
-        ensure_level(stats, level);
-        let mut internal: Vec<usize> = Vec::new();
-        for &ni in &frontier {
-            let root = nodes[ni].root;
-            if tree.subtree_size[root.index()] as usize == 1 {
-                let (part, m) = solve_leaf(root, level, stats);
-                nodes[ni].part = Some(part);
-                nodes[ni].metrics = m;
-            } else {
-                internal.push(ni);
-            }
-        }
+        let internal: Vec<usize> = frontier
+            .into_iter()
+            .filter(|&ni| nodes[ni].part.is_none())
+            .collect();
         let mut next_frontier: Vec<usize> = Vec::new();
         if !internal.is_empty() {
             ctx.enter(Phase::Partition);
@@ -618,18 +545,11 @@ pub(crate) fn solve_level_sync_retained(
             for (&ni, partition) in internal.iter().zip(partitions) {
                 ctx.charge(&partition.metrics);
                 let size = tree.subtree_size[nodes[ni].root.index()] as usize;
-                note_partition(g, tree, size, level, &partition, cfg, stats)?;
+                validate_partition(g, size, &partition, cfg)?;
+                let level = nodes[ni].level + 1;
                 for sub in &partition.parts {
                     let ci = nodes.len();
-                    nodes.push(RecNode {
-                        root: sub.root,
-                        level: level + 1,
-                        children: Vec::new(),
-                        partition: None,
-                        part: None,
-                        metrics: Metrics::new(),
-                        merge_stats: None,
-                    });
+                    nodes.push(RecNode::new(tree, sub.root, level));
                     nodes[ni].children.push(ci);
                     next_frontier.push(ci);
                 }
@@ -637,67 +557,285 @@ pub(crate) fn solve_level_sync_retained(
             }
         }
         frontier = next_frontier;
-        level += 1;
     }
 
-    // Bottom-up: merge every internal node once its children are solved.
-    // Merges stay per-subproblem (their cost is charged analytically and
-    // their symmetry breaking runs on per-merge virtual graphs).
+    // Children always sit after their parent, so a reverse sweep merges
+    // every internal node after its children.
     for ni in (0..nodes.len()).rev() {
-        // Retained arena: clone what the merge consumes instead of
-        // `take()`ing it, so the node keeps its partition and the children
-        // keep their parts after the pass.
-        let Some((p0, partition_metrics)) = nodes[ni]
-            .partition
-            .as_ref()
-            .map(|p| (p.p0.clone(), p.metrics))
-        else {
-            continue; // leaf: already solved
-        };
-        let mut children_metrics = Metrics::new();
-        let mut hanging = Vec::with_capacity(nodes[ni].children.len());
-        for ci in nodes[ni].children.clone() {
-            children_metrics.join_parallel(nodes[ci].metrics);
-            hanging.push(nodes[ci].part.clone().expect("child solved before parent"));
+        if nodes[ni].partition.is_some() {
+            merge_node(ctx, cfg, &mut nodes, ni)?;
         }
-        ctx.enter(Phase::Merge);
-        let merged = merge_parts_ctx(ctx, p0, hanging, cfg.check_invariants)?;
-        ctx.charge(&merged.metrics);
-        nodes[ni].merge_stats = Some(merged.stats);
-
-        let mut total = partition_metrics;
-        total.add(children_metrics);
-        total.add(merged.metrics);
-        let level = nodes[ni].level;
-        stats.levels[level].rounds = stats.levels[level].rounds.max(total.rounds);
-        nodes[ni].part = Some(merged.part);
-        nodes[ni].metrics = total;
     }
-
-    // Collect merge statistics in DFS post-order — the order the
-    // sequential scheduler pushes them in.
-    collect_merge_stats(&nodes, stats);
-
     Ok(nodes)
 }
 
-/// Pushes the arena's merge statistics into `stats.merges` in DFS
-/// post-order — the order the sequential scheduler pushes them in. The
-/// arena is read, not drained, so the pass can rerun after an incremental
-/// re-merge.
-pub(crate) fn collect_merge_stats(nodes: &[RecNode], stats: &mut RecursionStats) {
+/// Reuse accounting of one depth-first build.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct ReuseCounts {
+    pub(crate) recomputed_partitions: usize,
+    pub(crate) reused_partitions: usize,
+    pub(crate) recomputed_merges: usize,
+    pub(crate) reused_merges: usize,
+}
+
+/// An earlier arena the depth-first builder may reuse, with the dirty
+/// flags of the repaired tree it is rebuilt over.
+pub(crate) struct OldArena<'a> {
+    nodes: &'a [RecNode],
+    /// Old arena index by subproblem root, in new (post-renumbering) ids.
+    at: HashMap<VertexId, usize>,
+    removed: Option<VertexId>,
+    has_dirty: Vec<bool>,
+    has_tree_dirty: Vec<bool>,
+}
+
+impl<'a> OldArena<'a> {
+    /// Wraps the old arena `nodes`.
+    ///
+    /// * `removed`: `Some(v)` when old ids above `v` shift down by one (a
+    ///   departure), so the old arena is renumbered as it is reused.
+    /// * `has_dirty[v]`: the repaired subtree of `v` contains a
+    ///   tree-record change or a delta endpoint (its merge is stale).
+    /// * `has_tree_dirty[v]`: the repaired subtree of `v` contains a
+    ///   tree-record change (its partition is stale too).
+    pub(crate) fn new(
+        nodes: &'a [RecNode],
+        removed: Option<VertexId>,
+        has_dirty: Vec<bool>,
+        has_tree_dirty: Vec<bool>,
+    ) -> Self {
+        let mut old = OldArena {
+            nodes,
+            at: HashMap::with_capacity(nodes.len()),
+            removed,
+            has_dirty,
+            has_tree_dirty,
+        };
+        for (oi, node) in nodes.iter().enumerate() {
+            if Some(node.root) == removed {
+                continue;
+            }
+            let prev = old.at.insert(old.phi(node.root), oi);
+            debug_assert!(prev.is_none(), "a vertex roots at most one subproblem");
+        }
+        old
+    }
+
+    fn phi(&self, x: VertexId) -> VertexId {
+        match self.removed {
+            Some(r) if x > r => VertexId(x.0 - 1),
+            _ => x,
+        }
+    }
+
+    /// The old node rooted at `root` if its whole subtree is clean.
+    fn adoptable(&self, root: VertexId) -> Option<usize> {
+        (!self.has_dirty[root.index()])
+            .then(|| self.at.get(&root).copied())
+            .flatten()
+    }
+
+    /// The old partition of `root`, renumbered, if the subtree's tree
+    /// records are unchanged (partition content is a pure function of
+    /// the tree).
+    fn partition(&self, root: VertexId) -> Option<Partition> {
+        if self.has_tree_dirty[root.index()] {
+            return None;
+        }
+        let p = self.nodes[*self.at.get(&root)?].partition.as_ref()?;
+        Some(self.map_partition(p))
+    }
+
+    /// Renumbers a retained partition into the new id space. The mapping
+    /// is monotone, so sorted member lists and the root-to-splitter order
+    /// of `p0` survive as-is.
+    fn map_partition(&self, p: &Partition) -> Partition {
+        if self.removed.is_none() {
+            return p.clone();
+        }
+        Partition {
+            p0: p.p0.iter().map(|&v| self.phi(v)).collect(),
+            parts: p
+                .parts
+                .iter()
+                .map(|s| SubProblem {
+                    root: self.phi(s.root),
+                    members: s.members.iter().map(|&v| self.phi(v)).collect(),
+                })
+                .collect(),
+            metrics: p.metrics,
+        }
+    }
+
+    /// Old node `oi` renumbered into the new id space, without children.
+    /// Monotone renumbering preserves sorted member order and the
+    /// maximum-member leader of its part.
+    fn renumbered(&self, oi: usize, level: usize) -> RecNode {
+        let old = &self.nodes[oi];
+        let part = old.part.as_ref().map(|p| match self.removed {
+            None => p.clone(),
+            Some(_) => PartState::new(p.members.iter().map(|&v| self.phi(v)).collect()),
+        });
+        RecNode {
+            root: self.phi(old.root),
+            level,
+            children: Vec::new(),
+            partition: old.partition.as_ref().map(|p| self.map_partition(p)),
+            part,
+            metrics: old.metrics,
+            merge_stats: old.merge_stats.clone(),
+        }
+    }
+}
+
+/// The depth-first builder ([`Scheduler::Sequential`], and the
+/// incremental rebuild). Walks `tree` top-down, one kernel run per
+/// subproblem phase. With an old arena it adopts every clean sub-arena
+/// wholesale, reuses the partitions of tree-clean subtrees, and re-runs
+/// partitions and merges only along the dirty chains; without one it
+/// partitions and merges every subproblem. The arena comes out in DFS
+/// preorder.
+pub(crate) fn build_depth_first(
+    ctx: &mut ExecutionContext<'_>,
+    cfg: &EmbedderConfig,
+    tree: &GlobalTree,
+    old: Option<OldArena<'_>>,
+) -> Result<(Vec<RecNode>, ReuseCounts), EmbedError> {
+    let mut builder = DepthFirst {
+        tree,
+        old,
+        nodes: Vec::with_capacity(tree.subtree_size[tree.root.index()] as usize),
+        counts: ReuseCounts::default(),
+    };
+    builder.build(ctx, cfg, tree.root, 0)?;
+    Ok((builder.nodes, builder.counts))
+}
+
+struct DepthFirst<'a> {
+    tree: &'a GlobalTree,
+    old: Option<OldArena<'a>>,
+    nodes: Vec<RecNode>,
+    counts: ReuseCounts,
+}
+
+impl DepthFirst<'_> {
+    /// Adopts the old arena subtree rooted at old index `oi` wholesale:
+    /// same partitions, parts, metrics, and merge statistics, renumbered
+    /// into the new id space. Valid because the node's new subtree equals
+    /// its old one (no tree-record change inside) and no merge inside saw
+    /// a changed edge.
+    fn adopt(&mut self, oi: usize, level: usize) -> usize {
+        let old = self.old.as_ref().expect("adoption needs an old arena");
+        let node = old.renumbered(oi, level);
+        let kids = old.nodes[oi].children.clone();
+        if node.partition.is_some() {
+            self.counts.reused_partitions += 1;
+            self.counts.reused_merges += 1;
+        }
+        let ni = self.nodes.len();
+        self.nodes.push(node);
+        for ci in kids {
+            let c = self.adopt(ci, level + 1);
+            self.nodes[ni].children.push(c);
+        }
+        ni
+    }
+
+    /// Builds the arena node for the subproblem rooted at `root`,
+    /// adopting or re-running as the old arena allows. Returns the node's
+    /// index.
+    fn build(
+        &mut self,
+        ctx: &mut ExecutionContext<'_>,
+        cfg: &EmbedderConfig,
+        root: VertexId,
+        level: usize,
+    ) -> Result<usize, EmbedError> {
+        if let Some(oi) = self.old.as_ref().and_then(|o| o.adoptable(root)) {
+            return Ok(self.adopt(oi, level));
+        }
+        let ni = self.nodes.len();
+        self.nodes.push(RecNode::new(self.tree, root, level));
+        if self.nodes[ni].part.is_some() {
+            return Ok(ni); // a leaf
+        }
+
+        let partition = match self.old.as_ref().and_then(|o| o.partition(root)) {
+            Some(p) => {
+                self.counts.reused_partitions += 1;
+                p
+            }
+            None => {
+                ctx.enter(Phase::Partition);
+                let p = partition_subtree(ctx, self.tree, root)?;
+                ctx.charge(&p.metrics);
+                let size = self.tree.subtree_size[root.index()] as usize;
+                validate_partition(ctx.graph(), size, &p, cfg)?;
+                self.counts.recomputed_partitions += 1;
+                p
+            }
+        };
+        let subs: Vec<VertexId> = partition.parts.iter().map(|s| s.root).collect();
+        self.nodes[ni].partition = Some(partition);
+        for sub in subs {
+            let ci = self.build(ctx, cfg, sub, level + 1)?;
+            self.nodes[ni].children.push(ci);
+        }
+        merge_node(ctx, cfg, &mut self.nodes, ni)?;
+        self.counts.recomputed_merges += 1;
+        Ok(ni)
+    }
+}
+
+/// The recursion statistics of a built arena: per-level problem counts,
+/// sizes, part ratios and depths, and rounds, plus every merge's
+/// statistics in DFS post-order. A pure function of the tree and the
+/// arena, so both builders report the same statistics by construction.
+fn recursion_stats(tree: &GlobalTree, nodes: &[RecNode], cfg: &EmbedderConfig) -> RecursionStats {
+    let depth = nodes.iter().map(|node| node.level + 1).max().unwrap_or(0);
+    let mut levels: Vec<LevelStats> = (0..depth)
+        .map(|level| LevelStats {
+            level,
+            ..Default::default()
+        })
+        .collect();
+    for node in nodes {
+        let size = tree.subtree_size[node.root.index()] as usize;
+        let lvl = &mut levels[node.level];
+        lvl.problems += 1;
+        lvl.max_size = lvl.max_size.max(size);
+        // A subtree's cost includes its partition's rounds; leaves cost 0.
+        lvl.rounds = lvl.rounds.max(node.metrics.rounds);
+        for part in node.partition.iter().flat_map(|p| &p.parts) {
+            let ratio = part.members.len() as f64 / size as f64;
+            lvl.max_child_ratio = lvl.max_child_ratio.max(ratio);
+            lvl.max_part_depth = lvl
+                .max_part_depth
+                .max(tree.subtree_depth(part.root) as usize);
+        }
+    }
+
+    let mut merges = Vec::new();
     let mut stack: Vec<(usize, bool)> = vec![(0, false)];
     while let Some((ni, visited)) = stack.pop() {
         if visited {
-            if let Some(ms) = nodes[ni].merge_stats.clone() {
-                stats.merges.push(ms);
-            }
+            merges.extend(nodes[ni].merge_stats.clone());
         } else {
             stack.push((ni, true));
             for &ci in nodes[ni].children.iter().rev() {
                 stack.push((ci, false));
             }
         }
+    }
+
+    RecursionStats {
+        n: tree.parent.len(),
+        bfs_depth: tree.tree_depth() as usize,
+        depth,
+        levels,
+        merges,
+        safety_checked: cfg.check_invariants,
+        ..Default::default()
     }
 }
 
@@ -772,19 +910,29 @@ mod tests {
     /// graph it covers must carry the same block structure (biconnected
     /// components, cut vertices) as the centralized rotation the driver
     /// hands out — pinning the documented stand-in at the `planar_lib::
-    /// embed` call against silent drift.
+    /// embed` call against silent drift. Both builders' top-level parts
+    /// are checked.
     #[test]
     fn merged_part_covers_graph_and_matches_centralized_blocks() {
-        for g in [
+        for (g, scheduler) in [
             gen::grid(5, 5),
             gen::wheel_chain(3, 5),
             gen::random_outerplanar(18, 2),
-        ] {
-            let cfg = EmbedderConfig::default();
+        ]
+        .into_iter()
+        .flat_map(|g| {
+            [
+                (g.clone(), Scheduler::LevelSync),
+                (g, Scheduler::Sequential),
+            ]
+        }) {
+            let cfg = EmbedderConfig {
+                scheduler,
+                ..EmbedderConfig::default()
+            };
             let mut ctx = ExecutionContext::new(&g, &cfg);
-            let (setup, _) = run_setup_ctx(&mut ctx).unwrap();
-            let mut stats = RecursionStats::default();
-            let (part, _) = solve_level_sync(&g, &setup.tree, &cfg, &mut stats, &mut ctx).unwrap();
+            let (_, nodes, _, _) = run_recursion(&g, &cfg, &mut ctx).unwrap();
+            let part = nodes[0].part.as_ref().expect("root solved");
             // Full coverage, no half-embedded edges left at the top.
             assert_eq!(part.len(), g.vertex_count());
             for v in g.vertices() {
@@ -802,6 +950,73 @@ mod tests {
                 g.vertices().filter(|&v| bc.is_cut_vertex(v)).collect()
             };
             assert_eq!(cuts(&a), cuts(&b));
+        }
+    }
+
+    /// The generator suite of `tests/scheduler.rs`.
+    fn scheduler_families() -> Vec<(&'static str, Graph)> {
+        vec![
+            ("path", gen::path(17)),
+            ("cycle", gen::cycle(16)),
+            ("star", gen::star(15)),
+            ("random_tree", gen::random_tree(25, 3)),
+            ("grid", gen::grid(5, 5)),
+            ("tri_grid", gen::triangulated_grid(4, 4)),
+            ("k4_subdivided", gen::k4_subdivided(4)),
+            ("theta", gen::theta(3, 5)),
+            ("wheel", gen::wheel(10)),
+            ("fan", gen::fan(12)),
+            ("outerplanar", gen::random_outerplanar(18, 2)),
+            ("maximal_planar", gen::random_maximal_planar(18, 5)),
+            ("random_planar", gen::random_planar(24, 40, 9)),
+            ("wheel_chain", gen::wheel_chain(3, 5)),
+        ]
+    }
+
+    /// The level-synchronous and depth-first builders produce the same
+    /// arena node for node, keyed by subproblem root: level, partition,
+    /// solved part, subtree cost, merge statistics, and children (by
+    /// root), plus the same sequential tally. `tests/scheduler.rs` sees
+    /// only what reaches the outcome.
+    #[test]
+    fn level_sync_and_depth_first_arenas_agree_node_for_node() {
+        for kernel in [Kernel::Fast, Kernel::Reference] {
+            for (name, g) in scheduler_families() {
+                let build = |scheduler| {
+                    let cfg = EmbedderConfig {
+                        kernel,
+                        scheduler,
+                        ..EmbedderConfig::default()
+                    };
+                    let mut ctx = ExecutionContext::new(&g, &cfg);
+                    let built = run_recursion(&g, &cfg, &mut ctx).unwrap();
+                    (built, ctx.rounds_used(), ctx.phase_rounds())
+                };
+                let ((lt, lvl, lm, ls), l_rounds, l_phases) = build(Scheduler::LevelSync);
+                let ((dt, dfs, dm, ds), d_rounds, d_phases) = build(Scheduler::Sequential);
+                let label = format!("{name}/{kernel:?}");
+                assert_eq!(lt.parent, dt.parent, "{label}: trees differ");
+                assert_eq!(lvl.len(), dfs.len(), "{label}: arena sizes differ");
+                let dfs_at: HashMap<VertexId, usize> =
+                    dfs.iter().enumerate().map(|(i, nd)| (nd.root, i)).collect();
+                let kids = |nodes: &[RecNode], nd: &RecNode| -> Vec<VertexId> {
+                    nd.children.iter().map(|&c| nodes[c].root).collect()
+                };
+                for a in &lvl {
+                    let b = &dfs[dfs_at[&a.root]];
+                    let at = format!("{label} at {:?}", a.root);
+                    assert_eq!(a.level, b.level, "{at}: level");
+                    assert_eq!(a.partition, b.partition, "{at}: partition");
+                    assert_eq!(a.part, b.part, "{at}: part");
+                    assert_eq!(a.metrics, b.metrics, "{at}: metrics");
+                    assert_eq!(a.merge_stats, b.merge_stats, "{at}: merge stats");
+                    assert_eq!(kids(&lvl, a), kids(&dfs, b), "{at}: children");
+                }
+                assert_eq!(lm, dm, "{label}: metrics differ");
+                assert_eq!(ls, ds, "{label}: stats differ");
+                assert_eq!(l_rounds, d_rounds, "{label}: sequential tallies differ");
+                assert_eq!(l_phases, d_phases, "{label}: phase tallies differ");
+            }
         }
     }
 

@@ -17,16 +17,18 @@
 //!   unrepresentable (the old stringly-typed labels needed an
 //!   `unreachable!` arm);
 //! * batched execution ([`ExecutionContext::run_phase_many`]): the
-//!   level-synchronous scheduler hands all same-level subproblems to the
+//!   level-synchronous builder hands all same-level subproblems to the
 //!   kernel as vertex-disjoint [`Instance`]s and gets per-instance metrics
 //!   that are bit-identical to individual runs.
 //!
-//! [`Scheduler`] selects how the driver walks the recursion:
+//! The recursion has one product, the driver's recursion arena, and
+//! [`Scheduler`] selects which of its two builders fills it:
 //! [`Scheduler::LevelSync`] (the default) batches sibling subproblems into
-//! one kernel invocation per level, while [`Scheduler::Sequential`] keeps
-//! the original one-kernel-run-per-subproblem recursion as the conformance
-//! oracle — both produce bit-identical rotations, metrics, statistics and
-//! certification verdicts (pinned by `tests/scheduler.rs`).
+//! one kernel invocation per level, while [`Scheduler::Sequential`] builds
+//! depth first, one kernel run per subproblem phase, as the conformance
+//! oracle. The depth-first builder also rebuilds resident arenas after a
+//! delta. Both produce bit-identical arenas, rotations, metrics,
+//! statistics and certification verdicts (pinned by `tests/scheduler.rs`).
 
 use congest_sim::protocols::{
     run_reliable, unwrap_reliable, unwrap_reliable_many, wrap_instances, wrap_programs,
@@ -55,7 +57,7 @@ pub enum Kernel {
     Reference,
 }
 
-/// How the driver walks the partition/merge recursion.
+/// Which builder fills the driver's recursion arena.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Scheduler {
     /// Level-synchronous execution (the default): all same-level
@@ -65,9 +67,10 @@ pub enum Scheduler {
     /// level's total subproblem size instead of `O(n)` per subproblem.
     #[default]
     LevelSync,
-    /// The original depth-first recursion: one full-graph kernel run per
-    /// subproblem phase. Kept as the conformance oracle — bit-identical
-    /// outputs to [`Scheduler::LevelSync`] at a quadratic-ish host cost.
+    /// The depth-first builder: one full-graph kernel run per subproblem
+    /// phase. Kept as the conformance oracle — bit-identical outputs to
+    /// [`Scheduler::LevelSync`] at a quadratic-ish host cost — and the
+    /// builder the incremental re-embedding path resumes an arena with.
     Sequential,
 }
 
@@ -127,8 +130,9 @@ impl<'g> ExecutionContext<'g> {
 
     /// Opens a bare context over `g` from simulation parameters alone: fast
     /// kernel, no reliable delivery. The standalone phase entry points
-    /// (`run_setup`, `partition_subtree`, `merge_parts`, `symmetry_break`)
-    /// use this to keep their historical `(&Graph, &SimConfig)` signatures.
+    /// (`run_setup`, `symmetry_break`) use this to keep their historical
+    /// `(&Graph, &SimConfig)` signatures, and tests use it to drive single
+    /// phases.
     pub fn with_sim(g: &'g Graph, sim: &SimConfig) -> Self {
         ExecutionContext {
             session: SimSession::new(g),

@@ -1,13 +1,14 @@
 //! Incremental re-embedding: resident embeddings that absorb deltas by
 //! re-running only the dirty region of the recursion.
 //!
-//! A [`ResidentEmbedding`] keeps everything one level-synchronous run
-//! produced: the global BFS tree, the *retained* recursion arena (every
-//! subproblem's partition, solved part, metrics, and merge statistics —
-//! see [`RecNode`]), the rotation system, and the certification
-//! artifacts, plus a warm [`KernelCache`] so successive kernel runs reuse
-//! their mailbox arenas. [`ResidentEmbedding::reembed`] then brings the
-//! resident state to a mutated graph at a fraction of a full run's cost:
+//! A [`ResidentEmbedding`] keeps everything one full run produced: the
+//! global BFS tree, the recursion arena (every subproblem's partition,
+//! solved part, metrics, and merge statistics — see [`RecNode`]; either
+//! scheduler's builder yields one), the rotation system, and the
+//! certification artifacts, plus a warm [`KernelCache`] so successive
+//! kernel runs reuse their mailbox arenas. [`ResidentEmbedding::reembed`]
+//! then brings the resident state to a mutated graph at a fraction of a
+//! full run's cost:
 //!
 //! 1. **Planning** (`crate::planner`): the delta is classified into a
 //!    typed [`DeltaClass`] and the resident tree is repaired host-side —
@@ -20,8 +21,10 @@
 //!    else runs; a miss falls back to the full path as
 //!    [`FullCause::PlanRejected`]. No distributed setup re-runs on the
 //!    incremental path at all.
-//! 2. **Dirty-region rebuild**: the recursion arena is rebuilt top-down
-//!    over the repaired tree. Every subproblem is the full subtree of its
+//! 2. **Dirty-region rebuild**: the driver's depth-first builder — the
+//!    one [`Scheduler::Sequential`](crate::Scheduler::Sequential) runs —
+//!    rebuilds the arena top-down over the repaired tree, handed the old
+//!    arena and the dirty flags. Every subproblem is the full subtree of its
 //!    root, so a node whose subtree contains neither a tree-record change
 //!    nor a delta endpoint is *adopted* wholesale — partition, part,
 //!    metrics, merge statistics, and its entire sub-arena (renumbered on
@@ -30,13 +33,13 @@
 //!    tree) and re-runs just its merge; a tree-dirty node re-runs its
 //!    partition through [`ExecutionContext`] too. The dirty nodes form
 //!    the root-to-repair-site chains — `O(log n)` of the arena per delta.
-//! 3. **Epilogue**: the centralized fidelity stand-in
-//!    ([`planar_lib::embed`]) produces the rotation exactly as the full
-//!    driver does (see the fidelity note in `driver.rs`), and
-//!    certification splices the resident certificate set against a
-//!    scratch build ([`planar_cert::splice_certificates`], shift-aware on
-//!    departures) before one distributed re-verification — so only
-//!    changed certificates need re-distribution.
+//! 3. **Epilogue**: the driver's one epilogue runs, so the centralized
+//!    fidelity stand-in ([`planar_lib::embed`]) produces the rotation
+//!    exactly as the full driver does (see the fidelity note in
+//!    `driver.rs`), and certification splices the resident certificate
+//!    set against a scratch build ([`planar_cert::splice_certificates`],
+//!    shift-aware on departures) before one distributed re-verification
+//!    — so only changed certificates need re-distribution.
 //!
 //! **Bit-identity contract**: the rotation system, the certification
 //! verdict, and the planarity outcome of `reembed` are bit-identical to a
@@ -53,32 +56,27 @@
 //! of the contract.
 //!
 //! Deltas the planner cannot scope (classified [`DeltaClass::Fallback`])
-//! take a full retained re-run, which also re-elects the root (the sticky
-//! root is always the last full build's). A rejected delta (the mutated
-//! graph is non-planar) leaves the resident state *and* the resident
-//! graph untouched: all recomputation is staged in an overlay and
-//! committed only after the epilogue accepts.
+//! take a full re-run under the configured scheduler, which also
+//! re-elects the root (the sticky root is always the last full build's).
+//! A rejected delta (the mutated graph is non-planar) leaves the resident
+//! state *and* the resident graph untouched: all recomputation is staged
+//! on the side and committed only after the epilogue accepts.
 //!
 //! [`embed_distributed`]: crate::embed_distributed
 
-use std::collections::HashMap;
-
-use congest_sim::{KernelCache, Metrics, Phase};
-use planar_cert::{
-    build_certificates, splice_certificates, splice_certificates_shifted, SpliceStats,
-};
+use congest_sim::KernelCache;
+use planar_cert::SpliceStats;
 use planar_graph::{Graph, RotationSystem, VertexId};
 
-use crate::certify::{certify_embedding, certify_with_certificates, Certification};
-use crate::driver::{run_recursion_retained, validate_partition, RecNode};
+use crate::certify::Certification;
+use crate::driver::{
+    build_depth_first, check_coverage, density_guard, epilogue, run_recursion, OldArena, RecNode,
+    SpliceFrom,
+};
 use crate::error::EmbedError;
 use crate::exec::ExecutionContext;
-use crate::merge::merge_parts_ctx;
-use crate::partition::{partition_subtree_ctx, Partition, SubProblem};
-use crate::parts::PartState;
 use crate::planner::{self, DeltaClass, PlanAction, RepairPlan};
 use crate::tree::GlobalTree;
-use crate::Scheduler;
 use crate::{EmbedderConfig, Kernel};
 
 /// Why a re-embedding took the full (non-incremental) path.
@@ -173,23 +171,15 @@ impl ReembedReport {
     }
 }
 
-/// Reuse accounting of one dirty-region rebuild.
-#[derive(Clone, Copy, Debug, Default)]
-struct ReuseCounts {
-    recomputed_partitions: usize,
-    reused_partitions: usize,
-    recomputed_merges: usize,
-    reused_merges: usize,
-}
-
-/// Staged results of the incremental rebuild, committed only after the
-/// epilogue accepts the mutated graph.
-struct Overlay {
+/// A complete resident state computed on the side, committed only after
+/// the epilogue accepts the graph — so a rejected delta leaves the
+/// resident untouched on either path.
+struct Staged {
+    tree: GlobalTree,
     nodes: Vec<RecNode>,
     rotation: RotationSystem,
     certification: Option<Certification>,
-    splice: Option<SpliceStats>,
-    counts: ReuseCounts,
+    path: ReembedPath,
 }
 
 /// A long-lived embedding of one graph, retaining every artifact needed
@@ -217,13 +207,12 @@ impl std::fmt::Debug for ResidentEmbedding {
 }
 
 impl ResidentEmbedding {
-    /// Builds the resident embedding of `graph` — a full level-synchronous
-    /// run with the recursion arena retained.
+    /// Builds the resident embedding of `graph` — a full run under the
+    /// configured scheduler, with the recursion arena retained (both
+    /// builders yield one).
     ///
-    /// The configuration is normalized to the resident contract: the
-    /// scheduler is forced to [`Scheduler::LevelSync`] (the arena *is*
-    /// that recursion) and fault plans are rejected — a resident
-    /// embedding models a long-lived service tenant, not a chaos run.
+    /// Fault plans are rejected: a resident embedding models a long-lived
+    /// service tenant, not a chaos run.
     ///
     /// # Errors
     ///
@@ -235,25 +224,22 @@ impl ResidentEmbedding {
                 "resident embeddings require a fault-free configuration".into(),
             ));
         }
-        let mut cfg = cfg.clone();
-        cfg.scheduler = Scheduler::LevelSync;
-        let (tree, nodes, rotation, certification, rounds, cache) =
-            full_pass(&graph, &cfg, KernelCache::new()).map_err(|(e, _)| e)?;
+        let mut ctx = ExecutionContext::new(&graph, cfg);
+        let staged = stage_full(&graph, cfg, &mut ctx, FullCause::InitialBuild)?;
+        let report = ReembedReport {
+            path: staged.path,
+            planned: DeltaClass::Fallback,
+            rounds: ctx.rounds_used(),
+        };
+        let cache = Some(ctx.into_kernel_cache());
         let resident = ResidentEmbedding {
             graph,
-            cfg,
-            tree,
-            nodes,
-            rotation,
-            certification,
-            cache: Some(cache),
-        };
-        let report = ReembedReport {
-            path: ReembedPath::Full {
-                cause: FullCause::InitialBuild,
-            },
-            planned: DeltaClass::Fallback,
-            rounds,
+            cfg: cfg.clone(),
+            tree: staged.tree,
+            nodes: staged.nodes,
+            rotation: staged.rotation,
+            certification: staged.certification,
+            cache,
         };
         Ok((resident, report))
     }
@@ -361,114 +347,52 @@ impl ResidentEmbedding {
         self.reembed_planned(new_graph, plan)
     }
 
-    /// Executes a planned delta: runs the staged repair or the full
-    /// fallback, and commits only on success.
+    /// Executes a planned delta: stages the incremental repair or the
+    /// full fallback, and commits only on success. The full fallback's
+    /// tree is rooted at the fresh election — the new sticky root.
     fn reembed_planned(
         &mut self,
         new_graph: Graph,
         plan: planner::DeltaPlan,
     ) -> Result<ReembedReport, EmbedError> {
-        let planned = plan.planned;
         let cache = self.cache.take().unwrap_or_default();
-        match plan.action {
-            PlanAction::Full(cause) => self.reembed_full(new_graph, cache, cause, planned),
+        let mut ctx = ExecutionContext::with_kernel_cache(&new_graph, &self.cfg, cache);
+        let staged = match plan.action {
+            PlanAction::Full(cause) => stage_full(&new_graph, &self.cfg, &mut ctx, cause),
             PlanAction::Incremental(repair) => {
-                let (result, rounds, cache) = {
-                    let mut ctx = ExecutionContext::with_kernel_cache(&new_graph, &self.cfg, cache);
-                    let result = self.run_incremental(&new_graph, &repair, &mut ctx);
-                    let rounds = ctx.rounds_used();
-                    (result, rounds, ctx.into_kernel_cache())
-                };
-                match result {
-                    Ok(overlay) => {
-                        let Overlay {
-                            nodes,
-                            rotation,
-                            certification,
-                            splice,
-                            counts,
-                        } = *overlay;
-                        let repair = *repair;
-                        let dirty_region = repair.dirty_region();
-                        self.graph = new_graph;
-                        self.tree = repair.tree;
-                        self.nodes = nodes;
-                        self.rotation = rotation;
-                        self.certification = certification;
-                        self.cache = Some(cache);
-                        Ok(ReembedReport {
-                            path: ReembedPath::Incremental {
-                                class: repair.class,
-                                dirty_region,
-                                recomputed_partitions: counts.recomputed_partitions,
-                                reused_partitions: counts.reused_partitions,
-                                recomputed_merges: counts.recomputed_merges,
-                                reused_merges: counts.reused_merges,
-                                splice,
-                            },
-                            planned,
-                            rounds,
-                        })
-                    }
-                    Err(e) => {
-                        self.cache = Some(cache);
-                        Err(e)
-                    }
-                }
+                self.stage_incremental(&new_graph, *repair, &mut ctx)
             }
-        }
-    }
-
-    /// The full fallback: a retained re-run on `new_graph`, committing
-    /// only on success (a rejected delta leaves the resident state
-    /// untouched, exactly like the incremental path). The tree that comes
-    /// back is rooted at the fresh election — the new sticky root.
-    fn reembed_full(
-        &mut self,
-        new_graph: Graph,
-        cache: KernelCache,
-        cause: FullCause,
-        planned: DeltaClass,
-    ) -> Result<ReembedReport, EmbedError> {
-        match full_pass(&new_graph, &self.cfg, cache) {
-            Ok((tree, nodes, rotation, certification, rounds, cache)) => {
-                self.graph = new_graph;
-                self.tree = tree;
-                self.nodes = nodes;
-                self.rotation = rotation;
-                self.certification = certification;
-                self.cache = Some(cache);
-                Ok(ReembedReport {
-                    path: ReembedPath::Full { cause },
-                    planned,
-                    rounds,
-                })
-            }
-            Err((e, cache)) => {
-                self.cache = Some(cache);
-                Err(e)
-            }
-        }
+        };
+        let rounds = ctx.rounds_used();
+        self.cache = Some(ctx.into_kernel_cache());
+        let staged = staged?;
+        self.graph = new_graph;
+        self.tree = staged.tree;
+        self.nodes = staged.nodes;
+        self.rotation = staged.rotation;
+        self.certification = staged.certification;
+        Ok(ReembedReport {
+            path: staged.path,
+            planned: plan.planned,
+            rounds,
+        })
     }
 
     /// The staged incremental rebuild: density guard, dirty-region arena
-    /// rebuild with adoption, epilogue, certificate splice — all staged
-    /// into an [`Overlay`], never touching the resident state.
-    fn run_incremental(
+    /// rebuild with adoption, epilogue, certificate splice — never
+    /// touching the resident state.
+    fn stage_incremental(
         &self,
         new_graph: &Graph,
-        repair: &RepairPlan,
+        repair: RepairPlan,
         ctx: &mut ExecutionContext<'_>,
-    ) -> Result<Box<Overlay>, EmbedError> {
-        let n = new_graph.vertex_count();
-        // The same density guard the full driver runs before recursing.
-        if n >= 3 && new_graph.edge_count() > 3 * n - 6 {
-            return Err(EmbedError::NonPlanar);
-        }
+    ) -> Result<Staged, EmbedError> {
+        density_guard(new_graph)?;
 
         // Propagate dirt up the repaired tree: a subtree is dirty iff it
         // contains a dirty vertex, so marking parents in decreasing-depth
         // order computes every subtree's flag in O(n).
+        let n = new_graph.vertex_count();
         let tree = &repair.tree;
         let mut has_dirty = vec![false; n];
         let mut has_tree_dirty = vec![false; n];
@@ -492,321 +416,57 @@ impl ResidentEmbedding {
             }
         }
 
-        // Address the old arena by subproblem root (each vertex roots at
-        // most one subproblem), under the new ids.
-        let phi = |x: VertexId| match repair.removed {
-            Some(r) if x > r => VertexId(x.0 - 1),
-            _ => x,
-        };
-        let mut old_at: HashMap<VertexId, usize> = HashMap::with_capacity(self.nodes.len());
-        for (oi, node) in self.nodes.iter().enumerate() {
-            if Some(node.root) == repair.removed {
-                continue;
-            }
-            let prev = old_at.insert(phi(node.root), oi);
-            debug_assert!(prev.is_none(), "a vertex roots at most one subproblem");
-        }
+        let old = OldArena::new(&self.nodes, repair.removed, has_dirty, has_tree_dirty);
+        let (nodes, counts) = build_depth_first(ctx, &self.cfg, tree, Some(old))?;
+        check_coverage(&nodes, n)?;
 
-        let mut rebuild = Rebuild {
-            old_nodes: &self.nodes,
-            old_at,
-            tree,
-            removed: repair.removed,
-            has_dirty,
-            has_tree_dirty,
-            nodes: Vec::with_capacity(self.nodes.len()),
-            counts: ReuseCounts::default(),
-        };
-        let root_ni = rebuild.build(ctx, &self.cfg, tree.root, 0)?;
-        debug_assert_eq!(root_ni, 0);
-        let root_len = rebuild.nodes[0].part.as_ref().map_or(0, PartState::len);
-        if root_len != n {
-            return Err(EmbedError::Internal(format!(
-                "incremental recursion merged only {root_len} of {n} vertices"
-            )));
-        }
-        let counts = rebuild.counts;
-        let nodes = rebuild.nodes;
-
-        // Centralized fidelity epilogue — the same call, on the same
-        // graph, as the full driver's (`driver.rs` fidelity note), so the
-        // resulting rotation is bit-identical by construction.
-        let rotation = planar_lib::embed(new_graph)?;
-        debug_assert!(rotation.is_planar_embedding());
-
-        let (certification, splice) = if self.cfg.certify {
-            ctx.enter(Phase::Cert);
-            let scratch = build_certificates(new_graph, &rotation)
-                .map_err(|e| EmbedError::Internal(format!("certification: {e}")))?;
-            let old = self
+        // The same epilogue, on the same graph, as the full driver's, so
+        // the rotation is bit-identical by construction; the resident
+        // certificates are spliced against the scratch build.
+        let splice = SpliceFrom {
+            old: self
                 .certification
                 .as_ref()
-                .map(|c| c.certificates.as_slice())
-                .unwrap_or(&[]);
-            let (spliced, stats) = match repair.removed {
-                Some(v) => splice_certificates_shifted(old, scratch, v.index()),
-                None => splice_certificates(old, scratch),
-            };
-            let cert = certify_with_certificates(new_graph, &rotation, spliced, &self.cfg)?;
-            ctx.charge(&cert.report.metrics);
-            if !cert.accepted() {
-                return Err(EmbedError::Internal(format!(
-                    "distributed certification rejected the re-embedding: rejections {:?}, incomplete {:?}",
-                    cert.report.rejections, cert.report.incomplete
-                )));
-            }
-            (Some(cert), Some(stats))
-        } else {
-            (None, None)
+                .map_or(&[], |c| c.certificates.as_slice()),
+            removed: repair.removed,
         };
+        let (rotation, certification, splice) = epilogue(new_graph, &self.cfg, ctx, Some(splice))?;
 
-        Ok(Box::new(Overlay {
+        Ok(Staged {
+            path: ReembedPath::Incremental {
+                class: repair.class,
+                dirty_region: repair.dirty_region(),
+                recomputed_partitions: counts.recomputed_partitions,
+                reused_partitions: counts.reused_partitions,
+                recomputed_merges: counts.recomputed_merges,
+                reused_merges: counts.reused_merges,
+                splice,
+            },
+            tree: repair.tree,
             nodes,
             rotation,
             certification,
-            splice,
-            counts,
-        }))
+        })
     }
 }
 
-/// The dirty-region arena rebuild. Walks the repaired tree top-down,
-/// adopting clean sub-arenas from the old one and re-running partitions
-/// and merges only along the dirty chains.
-struct Rebuild<'a> {
-    old_nodes: &'a [RecNode],
-    /// Old arena index by subproblem root, in new (post-renumbering) ids.
-    old_at: HashMap<VertexId, usize>,
-    /// The repaired tree.
-    tree: &'a GlobalTree,
-    /// `Some(v)` when old ids above `v` shift down by one.
-    removed: Option<VertexId>,
-    /// `has_dirty[v]`: the repaired subtree of `v` contains a tree-record
-    /// change or a delta endpoint (its merge is stale).
-    has_dirty: Vec<bool>,
-    /// `has_tree_dirty[v]`: the repaired subtree of `v` contains a
-    /// tree-record change (its partition is stale too).
-    has_tree_dirty: Vec<bool>,
-    nodes: Vec<RecNode>,
-    counts: ReuseCounts,
-}
-
-impl Rebuild<'_> {
-    fn phi(&self, x: VertexId) -> VertexId {
-        match self.removed {
-            Some(r) if x > r => VertexId(x.0 - 1),
-            _ => x,
-        }
-    }
-
-    /// Renumbers a retained partition into the new id space. The mapping
-    /// is monotone, so sorted member lists and the root-to-splitter order
-    /// of `p0` survive as-is.
-    fn map_partition(&self, p: &Partition) -> Partition {
-        if self.removed.is_none() {
-            return p.clone();
-        }
-        Partition {
-            p0: p.p0.iter().map(|&v| self.phi(v)).collect(),
-            parts: p
-                .parts
-                .iter()
-                .map(|s| SubProblem {
-                    root: self.phi(s.root),
-                    members: s.members.iter().map(|&v| self.phi(v)).collect(),
-                })
-                .collect(),
-            metrics: p.metrics,
-        }
-    }
-
-    /// Renumbers a retained part. Monotone renumbering preserves the
-    /// sorted member order and the maximum-member leader.
-    fn map_part(&self, p: &PartState) -> PartState {
-        if self.removed.is_none() {
-            return p.clone();
-        }
-        PartState::new(p.members.iter().map(|&v| self.phi(v)).collect())
-    }
-
-    /// Adopts the old arena subtree rooted at old index `oi` wholesale:
-    /// same partitions, parts, metrics, and merge statistics, renumbered
-    /// into the new id space. Valid because the node's new subtree equals
-    /// its old one (no tree-record change inside) and no merge inside saw
-    /// a changed edge.
-    fn adopt(&mut self, oi: usize, level: usize) -> usize {
-        let ni = self.nodes.len();
-        let old = &self.old_nodes[oi];
-        let partition = old.partition.as_ref().map(|p| self.map_partition(p));
-        if partition.is_some() {
-            self.counts.reused_partitions += 1;
-            self.counts.reused_merges += 1;
-        }
-        self.nodes.push(RecNode {
-            root: self.phi(old.root),
-            level,
-            children: Vec::new(),
-            partition,
-            part: old.part.as_ref().map(|p| self.map_part(p)),
-            metrics: old.metrics,
-            merge_stats: old.merge_stats.clone(),
-        });
-        let kids = self.old_nodes[oi].children.clone();
-        for ci in kids {
-            let c = self.adopt(ci, level + 1);
-            self.nodes[ni].children.push(c);
-        }
-        ni
-    }
-
-    /// Builds the new arena node for the subproblem rooted at `root`,
-    /// adopting or re-running as the dirty flags dictate. Returns the new
-    /// node's index.
-    fn build(
-        &mut self,
-        ctx: &mut ExecutionContext<'_>,
-        cfg: &EmbedderConfig,
-        root: VertexId,
-        level: usize,
-    ) -> Result<usize, EmbedError> {
-        let ri = root.index();
-        if !self.has_dirty[ri] {
-            if let Some(&oi) = self.old_at.get(&root) {
-                return Ok(self.adopt(oi, level));
-            }
-        }
-        let ni = self.nodes.len();
-        self.nodes.push(RecNode {
-            root,
-            level,
-            children: Vec::new(),
-            partition: None,
-            part: None,
-            metrics: Metrics::new(),
-            merge_stats: None,
-        });
-        let size = self.tree.subtree_size[ri] as usize;
-        if size == 1 {
-            // Leaf subproblems are graph-independent.
-            self.nodes[ni].part = Some(PartState::new(vec![root]));
-            return Ok(ni);
-        }
-
-        // Partition: reuse the retained one when the subtree's tree
-        // records are unchanged (partition content is a pure function of
-        // the tree); re-run it through the kernel otherwise.
-        let reused = if !self.has_tree_dirty[ri] {
-            self.old_at
-                .get(&root)
-                .and_then(|&oi| self.old_nodes[oi].partition.as_ref())
-                .map(|p| self.map_partition(p))
-        } else {
-            None
-        };
-        let partition = match reused {
-            Some(p) => {
-                self.counts.reused_partitions += 1;
-                p
-            }
-            None => {
-                ctx.enter(Phase::Partition);
-                let p = partition_subtree_ctx(ctx, self.tree, root)?;
-                ctx.charge(&p.metrics);
-                validate_partition(ctx.graph(), size, &p, cfg)?;
-                self.counts.recomputed_partitions += 1;
-                p
-            }
-        };
-
-        let mut kids = Vec::with_capacity(partition.parts.len());
-        for sub in &partition.parts {
-            kids.push(self.build(ctx, cfg, sub.root, level + 1)?);
-        }
-        let mut children_metrics = Metrics::new();
-        let mut hanging = Vec::with_capacity(kids.len());
-        for &ci in &kids {
-            children_metrics.join_parallel(self.nodes[ci].metrics);
-            hanging.push(self.nodes[ci].part.clone().expect("child solved"));
-        }
-        ctx.enter(Phase::Merge);
-        let merged = merge_parts_ctx(ctx, partition.p0.clone(), hanging, cfg.check_invariants)?;
-        ctx.charge(&merged.metrics);
-        self.counts.recomputed_merges += 1;
-
-        let mut total = partition.metrics;
-        total.add(children_metrics);
-        total.add(merged.metrics);
-        let node = &mut self.nodes[ni];
-        node.children = kids;
-        node.partition = Some(partition);
-        node.part = Some(merged.part);
-        node.metrics = total;
-        node.merge_stats = Some(merged.stats);
-        Ok(ni)
-    }
-}
-
-/// One full retained run: recursion with the arena kept, centralized
-/// epilogue, optional certification. Returns the cache even on error so
-/// the caller's warm buffers survive a rejected delta.
-type FullPassOk = (
-    GlobalTree,
-    Vec<RecNode>,
-    RotationSystem,
-    Option<Certification>,
-    usize,
-    KernelCache,
-);
-
-fn full_pass(
-    graph: &Graph,
-    cfg: &EmbedderConfig,
-    cache: KernelCache,
-) -> Result<FullPassOk, (EmbedError, KernelCache)> {
-    let mut ctx = ExecutionContext::with_kernel_cache(graph, cfg, cache);
-    let result = run_full(graph, cfg, &mut ctx);
-    let rounds = ctx.rounds_used();
-    let cache = ctx.into_kernel_cache();
-    match result {
-        Ok((tree, nodes, rotation, certification)) => {
-            Ok((tree, nodes, rotation, certification, rounds, cache))
-        }
-        Err(e) => Err((e, cache)),
-    }
-}
-
-#[allow(clippy::type_complexity)]
-fn run_full(
+/// One full run: the scheduled recursion with its arena kept, then the
+/// shared epilogue.
+fn stage_full(
     graph: &Graph,
     cfg: &EmbedderConfig,
     ctx: &mut ExecutionContext<'_>,
-) -> Result<
-    (
-        GlobalTree,
-        Vec<RecNode>,
-        RotationSystem,
-        Option<Certification>,
-    ),
-    EmbedError,
-> {
-    let (tree, nodes, _metrics, _stats) = run_recursion_retained(graph, cfg, ctx)?;
-    let rotation = planar_lib::embed(graph)?;
-    debug_assert!(rotation.is_planar_embedding());
-    let certification = if cfg.certify {
-        ctx.enter(Phase::Cert);
-        let cert = certify_embedding(graph, &rotation, cfg)?;
-        ctx.charge(&cert.report.metrics);
-        if !cert.accepted() {
-            return Err(EmbedError::Internal(format!(
-                "distributed certification rejected the embedding: rejections {:?}, incomplete {:?}",
-                cert.report.rejections, cert.report.incomplete
-            )));
-        }
-        Some(cert)
-    } else {
-        None
-    };
-    Ok((tree, nodes, rotation, certification))
+    cause: FullCause,
+) -> Result<Staged, EmbedError> {
+    let (tree, nodes, _, _) = run_recursion(graph, cfg, ctx)?;
+    let (rotation, certification, _) = epilogue(graph, cfg, ctx, None)?;
+    Ok(Staged {
+        tree,
+        nodes,
+        rotation,
+        certification,
+        path: ReembedPath::Full { cause },
+    })
 }
 
 #[cfg(test)]
@@ -820,6 +480,26 @@ mod tests {
             certify,
             ..EmbedderConfig::default()
         }
+    }
+
+    /// A tree edge whose child has another parent candidate one level up,
+    /// so deleting it is `TreeRepairable`.
+    fn repairable_tree_edge(g: &Graph, tree: &GlobalTree) -> planar_graph::EdgeId {
+        g.edges()
+            .find(|e| {
+                let c = if tree.parent[e.lo().index()] == Some(e.hi()) {
+                    e.lo()
+                } else if tree.parent[e.hi().index()] == Some(e.lo()) {
+                    e.hi()
+                } else {
+                    return false;
+                };
+                g.neighbors(c).iter().any(|&w| {
+                    tree.depth[w.index()] + 1 == tree.depth[c.index()]
+                        && Some(w) != tree.parent[c.index()]
+                })
+            })
+            .expect("the graph has a repairable tree edge")
     }
 
     /// The resident build equals a one-shot embed on the same graph.
@@ -898,23 +578,7 @@ mod tests {
     fn tree_edge_delta_repairs_the_dirty_region() {
         let g = gen::grid(6, 6);
         let (mut resident, _) = ResidentEmbedding::build(g.clone(), &cfg(true)).unwrap();
-        let tree = &resident.tree;
-        let victim = g
-            .edges()
-            .find(|e| {
-                let c = if tree.parent[e.lo().index()] == Some(e.hi()) {
-                    e.lo()
-                } else if tree.parent[e.hi().index()] == Some(e.lo()) {
-                    e.hi()
-                } else {
-                    return false;
-                };
-                g.neighbors(c).iter().any(|&w| {
-                    tree.depth[w.index()] + 1 == tree.depth[c.index()]
-                        && Some(w) != tree.parent[c.index()]
-                })
-            })
-            .expect("a grid has a repairable tree edge");
+        let victim = repairable_tree_edge(&g, &resident.tree);
         let mut mutated = g.clone();
         mutated.remove_edge(victim.lo(), victim.hi()).unwrap();
 
@@ -1123,7 +787,7 @@ mod tests {
     }
 
     /// A planarity-breaking *incremental-classed* delta is also rejected
-    /// with the resident untouched: the overlay staging covers the
+    /// with the resident untouched: the staging covers the
     /// repaired-tree path, not just the full fallback.
     #[test]
     fn rejected_incremental_delta_leaves_resident_untouched() {
@@ -1153,6 +817,60 @@ mod tests {
             assert_eq!(resident.graph(), &g);
             assert_eq!(resident.rotation(), &before_rotation);
         }
+    }
+
+    /// A resident built under the depth-first scheduler keeps it (the
+    /// build no longer forces level-sync) and absorbs a tree-preserving
+    /// delete and then a tree-repairable delete on the incremental path,
+    /// each bit-identical to a full embed under the same configuration.
+    #[test]
+    fn sequential_resident_absorbs_deltas_incrementally() {
+        let seq = EmbedderConfig {
+            scheduler: crate::Scheduler::Sequential,
+            ..cfg(true)
+        };
+        let g = gen::grid(6, 6);
+        let (mut resident, _) = ResidentEmbedding::build(g.clone(), &seq).unwrap();
+        assert_eq!(resident.config().scheduler, crate::Scheduler::Sequential);
+        assert_eq!(
+            resident.rotation(),
+            &embed_distributed(&g, &seq).unwrap().rotation
+        );
+
+        // A non-tree edge: the BFS tree survives.
+        let victim = g
+            .edges()
+            .find(|e| !resident.is_tree_edge(e.lo(), e.hi()))
+            .expect("a grid has non-tree edges");
+        let mut mutated = g.clone();
+        mutated.remove_edge(victim.lo(), victim.hi()).unwrap();
+        let report = resident.reembed(mutated.clone()).unwrap();
+        assert_eq!(
+            report.taken(),
+            DeltaClass::TreePreserving,
+            "{:?}",
+            report.path
+        );
+        let oracle = embed_distributed(&mutated, &seq).unwrap();
+        assert_eq!(resident.rotation(), &oracle.rotation);
+        assert_eq!(resident.certification(), oracle.certification.as_ref());
+
+        // A tree edge whose child has another parent candidate.
+        let g = mutated;
+        let victim = repairable_tree_edge(&g, &resident.tree);
+        let mut mutated = g.clone();
+        mutated.remove_edge(victim.lo(), victim.hi()).unwrap();
+        let report = resident.reembed(mutated.clone()).unwrap();
+        assert_eq!(
+            report.taken(),
+            DeltaClass::TreeRepairable,
+            "{:?}",
+            report.path
+        );
+        let oracle = embed_distributed(&mutated, &seq).unwrap();
+        assert_eq!(resident.rotation(), &oracle.rotation);
+        assert_eq!(resident.certification(), oracle.certification.as_ref());
+        assert_eq!(resident.graph(), &mutated);
     }
 
     /// Faulted configurations are rejected up front.

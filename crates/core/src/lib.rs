@@ -18,10 +18,9 @@
 //! * [`partition`] — the recursive BFS-subtree/centroid-path partition
 //!   (Section 4, Lemmas 4.1–4.3).
 //! * [`symmetry`] — the O(1)-round symmetry breaking of Lemma 5.3.
-//! * [`patterns`] — the Section 5.2 merge patterns (pairwise, star,
-//!   vertex-coordinated) as standalone, individually costed operations.
 //! * [`merge`] — the unrestricted path-coordinated merge, step by step per
-//!   Section 5.3.
+//!   Section 5.3, composing the Section 5.2 merge patterns (pairwise,
+//!   star, vertex-coordinated) in place.
 //! * [`neighborhood`] — O(1)-round neighborhood learning on
 //!   everywhere-sparse graphs (the Section 7.1.3 substitute) and
 //!   degeneracy orientations.
@@ -37,8 +36,9 @@
 //!   through: one kernel session per graph, kernel selection
 //!   ([`Kernel`]), reliable delivery, the phase-attributed round tally,
 //!   and batched execution of vertex-disjoint subproblem instances.
-//!   [`Scheduler`] picks level-synchronous (default) or sequential
-//!   recursion — bit-identical outputs, very different host cost.
+//!   [`Scheduler`] picks the level-synchronous (default) or depth-first
+//!   builder of the one recursion arena — bit-identical outputs, very
+//!   different host cost.
 //! * [`embed_distributed`] — the end-to-end algorithm (Theorem 1.1).
 //! * [`embed_baseline`] — the trivial `O(n)` gather-everything baseline
 //!   (footnote 2), the comparison point for all benchmarks.
@@ -82,7 +82,6 @@ pub mod neighborhood;
 pub mod outcome;
 pub mod partition;
 pub mod parts;
-pub mod patterns;
 pub mod planner;
 pub mod resilience;
 pub mod ruling;

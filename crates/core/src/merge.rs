@@ -20,15 +20,18 @@
 //! exactly as written, with every data movement charged — kernel rounds for
 //! the symmetry breaking, packet-scheduled transfers for summaries and
 //! order deliveries, and `O(part diameter)` housekeeping per merge event
-//! (Remark 1's upcast/downcast simulation). The *embedding content* of each
-//! merged part is computed by the coordinator-side skeleton solver
-//! ([`planar_lib::embed_pinned`]); per Observation 3.2 the charged summaries
-//! carry exactly the information that solver needs.
+//! (Remark 1's upcast/downcast simulation). The merges build no
+//! *embedding content*: a [`PartState`] is its member set and leader. With
+//! `check` set, each merged part is embedded by the pinned embedder
+//! ([`planar_lib::embed_pinned`], via `verify_part`) to test the safety
+//! consequence, and that embedding is discarded; per Observation 3.2 the
+//! charged summaries carry exactly the information a coordinator-side
+//! solver would need.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 use congest_sim::routing::{schedule, Transfer};
-use congest_sim::{Metrics, Phase, PhaseRounds, SimConfig};
+use congest_sim::{Metrics, Phase, PhaseRounds};
 use planar_graph::{Graph, VertexId};
 
 use crate::error::EmbedError;
@@ -70,7 +73,10 @@ struct MergeCtx<'a, 'g> {
 }
 
 /// Merges `P_0` with the hanging parts into one part covering the whole
-/// subproblem.
+/// subproblem, through `exec`: the one kernel protocol it runs (the
+/// symmetry-breaking step) executes on the context's kernel with its
+/// reliability policy; the routed summary movements are charged
+/// analytically and need no protection.
 ///
 /// # Errors
 ///
@@ -78,24 +84,6 @@ struct MergeCtx<'a, 'g> {
 /// * [`EmbedError::Internal`] if a framework invariant (safety, Def. 3.1)
 ///   fails — this would falsify the paper's Lemma 4.1 and is always a bug.
 pub fn merge_parts(
-    g: &Graph,
-    p0: Vec<VertexId>,
-    hanging: Vec<PartState>,
-    cfg: &SimConfig,
-    check: bool,
-) -> Result<MergeOutcome, EmbedError> {
-    merge_parts_ctx(&mut ExecutionContext::with_sim(g, cfg), p0, hanging, check)
-}
-
-/// [`merge_parts`] against a full [`ExecutionContext`]: the one kernel
-/// protocol it runs (the symmetry-breaking step) executes on the context's
-/// kernel with its reliability policy; the routed summary movements are
-/// charged analytically and need no protection.
-///
-/// # Errors
-///
-/// As [`merge_parts`].
-pub fn merge_parts_ctx(
     exec: &mut ExecutionContext<'_>,
     p0: Vec<VertexId>,
     hanging: Vec<PartState>,
@@ -671,6 +659,7 @@ mod tests {
     use super::*;
     use crate::partition::partition_subtree;
     use crate::setup::run_setup;
+    use congest_sim::SimConfig;
     use planar_lib::gen;
 
     /// Runs setup + one partition + the merge of that partition's parts
@@ -679,13 +668,14 @@ mod tests {
     fn merge_one_level(g: &Graph) -> MergeOutcome {
         let cfg = SimConfig::default();
         let (setup, _) = run_setup(g, &cfg).unwrap();
-        let p = partition_subtree(g, &setup.tree, setup.tree.root, &cfg).unwrap();
+        let mut ctx = ExecutionContext::with_sim(g, &cfg);
+        let p = partition_subtree(&mut ctx, &setup.tree, setup.tree.root).unwrap();
         let hanging: Vec<PartState> = p
             .parts
             .iter()
             .map(|q| PartState::new(q.members.clone()))
             .collect();
-        merge_parts(g, p.p0.clone(), hanging, &cfg, true).unwrap()
+        merge_parts(&mut ctx, p.p0.clone(), hanging, true).unwrap()
     }
 
     #[test]
@@ -730,16 +720,7 @@ mod tests {
     #[test]
     fn merge_trivial_no_hanging_parts() {
         // A path where P_0 swallows... a 2-vertex graph: P_0 = both.
-        let g = gen::path(2);
-        let cfg = SimConfig::default();
-        let (setup, _) = run_setup(&g, &cfg).unwrap();
-        let p = partition_subtree(&g, &setup.tree, setup.tree.root, &cfg).unwrap();
-        let hanging: Vec<PartState> = p
-            .parts
-            .iter()
-            .map(|q| PartState::new(q.members.clone()))
-            .collect();
-        let out = merge_parts(&g, p.p0, hanging, &cfg, true).unwrap();
+        let out = merge_one_level(&gen::path(2));
         assert_eq!(out.part.len(), 2);
     }
 

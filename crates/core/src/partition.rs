@@ -3,8 +3,8 @@
 //! distributed centroid walk) and the hanging subtree parts `P_1..P_k`.
 //!
 //! Two entry points compute the *same* partition at the same per-subtree
-//! cost: [`partition_subtree_ctx`] runs one subtree per kernel invocation
-//! (the sequential scheduler's path), while [`partition_level`] batches
+//! cost: [`partition_subtree`] runs one subtree per kernel invocation
+//! (the depth-first builder's path), while [`partition_level`] batches
 //! every same-level subtree of the recursion into one kernel invocation
 //! over vertex-disjoint [`Instance`]s — per-instance metrics are
 //! bit-identical to the one-at-a-time runs, and the kernel enforces that
@@ -22,7 +22,7 @@ use crate::exec::ExecutionContext;
 use crate::tree::GlobalTree;
 
 /// A subproblem of the recursion: a full BFS subtree.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SubProblem {
     /// Root of the subtree.
     pub root: VertexId,
@@ -31,7 +31,7 @@ pub struct SubProblem {
 }
 
 /// The result of partitioning one subtree.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Partition {
     /// The trivial path part `P_0`, ordered from the subtree root `s` to the
     /// splitter `v`.
@@ -42,7 +42,11 @@ pub struct Partition {
     pub metrics: Metrics,
 }
 
-/// Runs the distributed partition of the subtree rooted at `root`.
+/// Runs the distributed partition of the subtree rooted at `root`
+/// through `ctx`: the two kernel protocols (centroid walk, label
+/// downcast) run on the context's kernel with its reliability policy; the
+/// routed part-root notification is charged analytically and needs no
+/// protection.
 ///
 /// Cost: a centroid walk (`O(depth)` rounds, measured by the kernel), one
 /// round of part-root notification (charged via routed transfers) and a
@@ -53,23 +57,6 @@ pub struct Partition {
 /// Propagates kernel/routing errors (which indicate internal bugs, not bad
 /// inputs).
 pub fn partition_subtree(
-    g: &Graph,
-    tree: &GlobalTree,
-    root: VertexId,
-    cfg: &SimConfig,
-) -> Result<Partition, EmbedError> {
-    partition_subtree_ctx(&mut ExecutionContext::with_sim(g, cfg), tree, root)
-}
-
-/// [`partition_subtree`] against a full [`ExecutionContext`]: the two
-/// kernel protocols (centroid walk, label downcast) run on the context's
-/// kernel with its reliability policy; the routed notification is charged
-/// analytically and needs no protection.
-///
-/// # Errors
-///
-/// As [`partition_subtree`].
-pub fn partition_subtree_ctx(
     ctx: &mut ExecutionContext<'_>,
     tree: &GlobalTree,
     root: VertexId,
@@ -131,7 +118,7 @@ pub fn partition_subtree_ctx(
 /// recursion always are); each becomes one [`Instance`] whose members run
 /// exactly the programs the one-at-a-time path gives them, so the returned
 /// partitions — splitter, `P_0`, parts, *and metrics* — are bit-identical
-/// to calling [`partition_subtree_ctx`] once per root, and the kernel
+/// to calling [`partition_subtree`] once per root, and the kernel
 /// rejects any message between sibling subtrees
 /// ([`congest_sim::SimError::CrossInstanceSend`]).
 ///
@@ -317,11 +304,21 @@ mod tests {
         run_setup(g, &SimConfig::default()).unwrap().0.tree
     }
 
+    /// Partitions one subtree in a fresh context of its own.
+    fn partition_alone(g: &Graph, tree: &GlobalTree, root: VertexId) -> Partition {
+        partition_subtree(
+            &mut ExecutionContext::with_sim(g, &SimConfig::default()),
+            tree,
+            root,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn partition_respects_lemma_4_2() {
         let g = gen::grid(6, 6);
         let tree = setup_tree(&g);
-        let p = partition_subtree(&g, &tree, tree.root, &SimConfig::default()).unwrap();
+        let p = partition_alone(&g, &tree, tree.root);
         let n = g.vertex_count();
         // P_0 non-empty, starts at the root.
         assert_eq!(p.p0[0], tree.root);
@@ -343,7 +340,7 @@ mod tests {
     fn partition_of_path_graph() {
         let g = gen::path(9); // root will be vertex 8
         let tree = setup_tree(&g);
-        let p = partition_subtree(&g, &tree, tree.root, &SimConfig::default()).unwrap();
+        let p = partition_alone(&g, &tree, tree.root);
         // On a path rooted at an end, P_0 runs from 8 down to the first
         // splitter (vertex 6: below it hang 6 vertices <= 2*9/3 = 6, above 2).
         assert_eq!(p.p0, vec![VertexId(8), VertexId(7), VertexId(6)]);
@@ -356,7 +353,7 @@ mod tests {
     fn partition_of_star_is_center_plus_leaves() {
         let g = gen::star(7); // center 0, leaves 1..6; root = 6 (max id)
         let tree = setup_tree(&g);
-        let p = partition_subtree(&g, &tree, tree.root, &SimConfig::default()).unwrap();
+        let p = partition_alone(&g, &tree, tree.root);
         // The walk goes 6 -> 0 (subtree below 0 has 6 > 2*7/3 = 4.67).
         assert_eq!(p.p0, vec![VertexId(6), VertexId(0)]);
         assert_eq!(p.parts.len(), 5);
@@ -369,7 +366,7 @@ mod tests {
     fn partition_cost_is_linear_in_depth() {
         let g = gen::path(64);
         let tree = setup_tree(&g);
-        let p = partition_subtree(&g, &tree, tree.root, &SimConfig::default()).unwrap();
+        let p = partition_alone(&g, &tree, tree.root);
         // Centroid walk + notify + downcast: all O(depth) = O(n) on a path.
         assert!(p.metrics.rounds <= 3 * 64, "rounds = {}", p.metrics.rounds);
     }
@@ -379,7 +376,7 @@ mod tests {
         let g = gen::path(4);
         let tree = setup_tree(&g);
         // Leaf subtree (vertex 0): P_0 = [0], no parts.
-        let p = partition_subtree(&g, &tree, VertexId(0), &SimConfig::default()).unwrap();
+        let p = partition_alone(&g, &tree, VertexId(0));
         assert_eq!(p.p0, vec![VertexId(0)]);
         assert!(p.parts.is_empty());
     }
@@ -390,7 +387,7 @@ mod tests {
         let tree = setup_tree(&g);
         let cfg = SimConfig::default();
         // Partition the root, then its hanging parts both ways.
-        let top = partition_subtree(&g, &tree, tree.root, &cfg).unwrap();
+        let top = partition_alone(&g, &tree, tree.root);
         let roots: Vec<VertexId> = top
             .parts
             .iter()
@@ -401,7 +398,7 @@ mod tests {
         let mut ctx = ExecutionContext::with_sim(&g, &cfg);
         let batched = partition_level(&mut ctx, &tree, &roots).unwrap();
         for (i, &root) in roots.iter().enumerate() {
-            let solo = partition_subtree(&g, &tree, root, &cfg).unwrap();
+            let solo = partition_alone(&g, &tree, root);
             assert_eq!(batched[i].p0, solo.p0);
             assert_eq!(batched[i].metrics, solo.metrics);
             let b_parts: Vec<_> = batched[i].parts.iter().map(|p| p.root).collect();
