@@ -10,6 +10,10 @@
 //! `--large` extends the sweeps to larger instances (minutes instead of
 //! seconds).
 //!
+//! `fsafe` (also part of `all`) runs the embedder with `check_invariants`
+//! on and exits non-zero if any row reports `invariantsHeld = false`;
+//! `--large` extends it to n = 4096.
+//!
 //! `bench-kernel` times the simulation kernel against the preserved seed
 //! kernel (flood throughput on grid / tri-grid / random-maximal-planar
 //! substrates, with per-row kernel-arena bytes and peak RSS), runs the
@@ -592,7 +596,7 @@ fn main() {
 
     if run_all || which == "fsafe" {
         println!("== F-safe: Definition 3.1 safety, full invariant checking ==");
-        let sweep: &[usize] = if large { &[64, 256] } else { &[48, 96] };
+        let sweep: &[usize] = if large { &[64, 256, 4096] } else { &[48, 96] };
         let rows = fsafe(sweep);
         let data: Vec<Vec<String>> = rows
             .iter()
@@ -609,6 +613,15 @@ fn main() {
             "{}",
             render(&["family", "n", "invariantsHeld", "mergesChecked"], &data)
         );
+        let failed: Vec<String> = rows
+            .iter()
+            .filter(|r| !r.all_invariants_held)
+            .map(|r| format!("{}/n={}", r.family, r.n))
+            .collect();
+        if !failed.is_empty() {
+            eprintln!("F-safe: invariants failed at {}", failed.join(", "));
+            std::process::exit(1);
+        }
     }
 }
 

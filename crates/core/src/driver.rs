@@ -11,7 +11,9 @@
 //!   every same-level subproblem is partitioned in one batched kernel
 //!   invocation ([`partition_level`]) over vertex-disjoint instances, then
 //!   the merges run bottom-up. Host-side cost per level is proportional to
-//!   the level's total subproblem size.
+//!   the level's total subproblem size; under `check_invariants` the
+//!   Definition 3.1 gate judges all of a level's partitions in one
+//!   `O(n + m)` pass.
 //! * [`Scheduler::Sequential`] builds it depth first, one kernel run per
 //!   subproblem phase — the conformance oracle. The same builder rebuilds
 //!   a resident arena after a delta (`crate::incremental`): handed the old
@@ -30,10 +32,11 @@
 //! **Fidelity note** (see DESIGN.md §11): the recursion computes, charges
 //! and validates the partition/merge *structure* only. A [`PartState`]
 //! holds just its members and leader; the merges build no embedding
-//! content, and under `check_invariants` `verify_part` embeds each merged
-//! part with the pinned embedder and discards the result. The rotation
-//! handed to the caller comes from the centralized left-right embedder
-//! ([`planar_lib::embed`]) run on the whole graph. The
+//! content, and under `check_invariants` `verify_part` runs a planarity
+//! test on each merged part plus an apex over its attachments, building
+//! no embedding. The rotation handed to the caller comes from the
+//! centralized left-right embedder ([`planar_lib::embed`]) run on the
+//! whole graph. The
 //! `merged_part_covers_graph_and_matches_centralized_blocks` regression
 //! pins that the top-level part covers the graph and that the graph it
 //! covers has the block structure of that rotation.
@@ -51,7 +54,7 @@ use crate::error::{DegradedCause, EmbedError};
 use crate::exec::ExecutionContext;
 use crate::merge::merge_parts;
 use crate::partition::{partition_level, partition_subtree, Partition, SubProblem};
-use crate::parts::{partition_is_safe, PartState};
+use crate::parts::{part_safety, PartState};
 use crate::resilience::auto_watchdog;
 use crate::setup::run_setup_ctx;
 use crate::stats::{LevelStats, MergeStats, RecursionStats};
@@ -65,13 +68,13 @@ pub struct EmbedderConfig {
     /// Kernel simulation parameters (per-edge word budget, round cap,
     /// fault plan, watchdog).
     pub sim: SimConfig,
-    /// Verify the framework invariants (part safety, co-facial boundaries)
-    /// at every merge. Each merge embeds the merged part once with the
-    /// linear-time left-right embedder (`O(n log n)` over the recursion),
-    /// but the Definition 3.1 safety check runs one BFS per non-trivial
-    /// part, `O(parts · m)` per level; that BFS dominates on dense graphs
-    /// (13–14× the unchecked run on a random maximal planar graph with
-    /// n = 10k). Disable for large benchmark runs.
+    /// Verify the framework invariants: the Definition 3.1 safety of every
+    /// computed partition, judged for a whole recursion level in one
+    /// articulation-point pass (`O(n + m)` per level), and the co-facial
+    /// boundary of every merged part, one left-right planarity test of the
+    /// part plus an apex (`O(n log n)` over the recursion). On a random
+    /// maximal planar graph with n = 10k the checked run takes ~1.3× the
+    /// unchecked one.
     pub check_invariants: bool,
     /// Lift every kernel phase into the acknowledgement/retransmission
     /// wrapper ([`congest_sim::protocols::Reliable`]). `None` (the default)
@@ -416,14 +419,10 @@ pub(crate) fn epilogue(
 
 /// The Lemma 4.1/4.2 gate on one subproblem's partition, run by both
 /// builders on every partition they compute: every hanging part must stay
-/// within the 2/3 ratio, and (under `check_invariants`) the partition
-/// must be safe in the Definition 3.1 sense.
-fn validate_partition(
-    g: &Graph,
-    size: usize,
-    partition: &Partition,
-    cfg: &EmbedderConfig,
-) -> Result<(), EmbedError> {
+/// within the 2/3 ratio (checked first), and the partition must be safe in
+/// the Definition 3.1 sense — `safe` is its verdict from
+/// [`partitions_safe`].
+fn validate_partition(size: usize, partition: &Partition, safe: bool) -> Result<(), EmbedError> {
     for part in &partition.parts {
         let ratio = part.members.len() as f64 / size as f64;
         if ratio > 2.0 / 3.0 + 1e-9 {
@@ -432,17 +431,36 @@ fn validate_partition(
             )));
         }
     }
-    if cfg.check_invariants {
-        let mut all_parts: Vec<Vec<VertexId>> =
-            partition.parts.iter().map(|p| p.members.clone()).collect();
-        all_parts.push(partition.p0.clone());
-        if !partition_is_safe(g, &all_parts) {
-            return Err(EmbedError::Internal(
-                "Lemma 4.1 violated: partition is unsafe".into(),
-            ));
-        }
+    if !safe {
+        return Err(EmbedError::Internal(
+            "Lemma 4.1 violated: partition is unsafe".into(),
+        ));
     }
     Ok(())
+}
+
+/// The Definition 3.1 verdict of each partition (hanging parts and `P_0`)
+/// under `check_invariants`; all `true` otherwise. The partitions' parts
+/// must be pairwise disjoint — as are all parts of one recursion level —
+/// so one [`part_safety`] pass judges them all.
+fn partitions_safe(g: &Graph, partitions: &[Partition], cfg: &EmbedderConfig) -> Vec<bool> {
+    if !cfg.check_invariants {
+        return vec![true; partitions.len()];
+    }
+    let parts: Vec<&[VertexId]> = partitions
+        .iter()
+        .flat_map(|p| {
+            p.parts
+                .iter()
+                .map(|s| s.members.as_slice())
+                .chain([p.p0.as_slice()])
+        })
+        .collect();
+    let mut verdicts = part_safety(g, &parts).into_iter();
+    partitions
+        .iter()
+        .map(|p| verdicts.by_ref().take(p.parts.len() + 1).all(|s| s))
+        .collect()
 }
 
 /// One subproblem of the recursion arena.
@@ -542,10 +560,11 @@ fn build_level_sync(
             ctx.enter(Phase::Partition);
             let roots: Vec<VertexId> = internal.iter().map(|&ni| nodes[ni].root).collect();
             let partitions = partition_level(ctx, tree, &roots)?;
-            for (&ni, partition) in internal.iter().zip(partitions) {
+            let safe = partitions_safe(g, &partitions, cfg);
+            for ((&ni, partition), safe) in internal.iter().zip(partitions).zip(safe) {
                 ctx.charge(&partition.metrics);
                 let size = tree.subtree_size[nodes[ni].root.index()] as usize;
-                validate_partition(g, size, &partition, cfg)?;
+                validate_partition(size, &partition, safe)?;
                 let level = nodes[ni].level + 1;
                 for sub in &partition.parts {
                     let ci = nodes.len();
@@ -770,7 +789,8 @@ impl DepthFirst<'_> {
                 let p = partition_subtree(ctx, self.tree, root)?;
                 ctx.charge(&p.metrics);
                 let size = self.tree.subtree_size[root.index()] as usize;
-                validate_partition(ctx.graph(), size, &p, cfg)?;
+                let safe = partitions_safe(ctx.graph(), std::slice::from_ref(&p), cfg);
+                validate_partition(size, &p, safe[0])?;
                 self.counts.recomputed_partitions += 1;
                 p
             }
@@ -1018,6 +1038,99 @@ mod tests {
                 assert_eq!(l_phases, d_phases, "{label}: phase tallies differ");
             }
         }
+    }
+
+    /// Every partition in both builders' arenas gets the same Definition
+    /// 3.1 verdict from the per-part oracle as from the level-batched
+    /// [`partitions_safe`] pass over all partitions of its level.
+    #[test]
+    fn level_batched_safety_matches_the_oracle_on_both_arenas() {
+        use crate::parts::tests::partition_is_safe_oracle;
+        for (name, g) in scheduler_families() {
+            for scheduler in [Scheduler::LevelSync, Scheduler::Sequential] {
+                let cfg = EmbedderConfig {
+                    scheduler,
+                    ..EmbedderConfig::default()
+                };
+                let mut ctx = ExecutionContext::new(&g, &cfg);
+                let (_, nodes, _, _) = run_recursion(&g, &cfg, &mut ctx).unwrap();
+                let depth = nodes.iter().map(|nd| nd.level + 1).max().unwrap();
+                let mut judged = 0;
+                for level in 0..depth {
+                    let partitions: Vec<Partition> = nodes
+                        .iter()
+                        .filter(|nd| nd.level == level)
+                        .filter_map(|nd| nd.partition.clone())
+                        .collect();
+                    let batched = partitions_safe(&g, &partitions, &cfg);
+                    for (p, safe) in partitions.iter().zip(batched) {
+                        let mut parts: Vec<Vec<VertexId>> =
+                            p.parts.iter().map(|s| s.members.clone()).collect();
+                        parts.push(p.p0.clone());
+                        let label = format!("{name}/{scheduler:?} level {level}: {p:?}");
+                        assert_eq!(safe, partition_is_safe_oracle(&g, &parts), "{label}");
+                        judged += 1;
+                    }
+                }
+                assert_eq!(
+                    judged,
+                    nodes.iter().filter(|nd| nd.partition.is_some()).count(),
+                    "{name}/{scheduler:?}"
+                );
+            }
+        }
+    }
+
+    /// A hand-made partition of the 4-path theta graph: `P_0` is the cycle
+    /// through the hubs and the first two paths, the hanging parts are the
+    /// other two path interiors.
+    fn theta_partition() -> (Graph, Partition) {
+        let g = gen::theta(4, 4);
+        let sub = |ids: [u32; 3]| SubProblem {
+            root: VertexId(ids[0]),
+            members: ids.iter().copied().map(VertexId).collect(),
+        };
+        let partition = Partition {
+            p0: (0..8).map(VertexId).collect(),
+            parts: vec![sub([8, 9, 10]), sub([11, 12, 13])],
+            metrics: Metrics::new(),
+        };
+        (g, partition)
+    }
+
+    #[test]
+    fn validate_partition_reports_an_unsafe_partition() {
+        let (g, partition) = theta_partition();
+        let cfg = EmbedderConfig::default();
+        let safe = partitions_safe(&g, std::slice::from_ref(&partition), &cfg);
+        assert_eq!(safe, vec![false]);
+        let err = validate_partition(14, &partition, safe[0]).unwrap_err();
+        assert!(
+            matches!(&err, EmbedError::Internal(m) if m.starts_with("Lemma 4.1")),
+            "{err:?}"
+        );
+        // Without `check_invariants` the safety verdict is not computed.
+        let unchecked = EmbedderConfig {
+            check_invariants: false,
+            ..EmbedderConfig::default()
+        };
+        let safe = partitions_safe(&g, std::slice::from_ref(&partition), &unchecked);
+        validate_partition(14, &partition, safe[0]).unwrap();
+    }
+
+    #[test]
+    fn validate_partition_reports_the_ratio_before_safety() {
+        let (g, partition) = theta_partition();
+        let cfg = EmbedderConfig::default();
+        let safe = partitions_safe(&g, std::slice::from_ref(&partition), &cfg)[0];
+        assert!(!safe);
+        // A subproblem of size 4 makes each 3-vertex hanging part break
+        // the 2/3 ratio as well.
+        let err = validate_partition(4, &partition, safe).unwrap_err();
+        assert!(
+            matches!(&err, EmbedError::Internal(m) if m.starts_with("Lemma 4.2")),
+            "{err:?}"
+        );
     }
 
     /// Tentpole: with `certify` set the outcome carries accepted

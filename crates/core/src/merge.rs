@@ -22,9 +22,9 @@
 //! order deliveries, and `O(part diameter)` housekeeping per merge event
 //! (Remark 1's upcast/downcast simulation). The merges build no
 //! *embedding content*: a [`PartState`] is its member set and leader. With
-//! `check` set, each merged part is embedded by the pinned embedder
-//! ([`planar_lib::embed_pinned`], via `verify_part`) to test the safety
-//! consequence, and that embedding is discarded; per Observation 3.2 the
+//! `check` set, `verify_part` tests the safety consequence on each merged
+//! part (connected, and planar with its attachments on one face) by a
+//! planarity test that builds no embedding; per Observation 3.2 the
 //! charged summaries carry exactly the information a coordinator-side
 //! solver would need.
 

@@ -1,5 +1,3 @@
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::{EdgeId, GraphError, VertexId};
@@ -224,38 +222,133 @@ impl Graph {
         crate::traversal::connected_components(self).len() <= 1
     }
 
+    /// Builds a graph from adjacency rows: `rows[v]` lists the neighbors
+    /// of vertex `v`, in any order. Rows that are already sorted (the
+    /// common case when they come from another graph's sorted rows) cost
+    /// one linear check each.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::VertexOutOfRange`] for a neighbor `>= n`,
+    /// [`GraphError::SelfLoop`] for `v` in its own row,
+    /// [`GraphError::ParallelEdge`] for a neighbor listed twice in one row,
+    /// and [`GraphError::MissingEdge`] `{ u: w, v }` when `w` is in the row
+    /// of `v` but `v` is not in the row of `w`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use planar_graph::{Graph, VertexId};
+    ///
+    /// # fn main() -> Result<(), planar_graph::GraphError> {
+    /// let rows = vec![vec![VertexId(1)], vec![VertexId(2), VertexId(0)], vec![VertexId(1)]];
+    /// let g = Graph::from_adjacency(rows)?;
+    /// assert_eq!(g, Graph::from_edges(3, [(0, 1), (1, 2)])?);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn from_adjacency(mut rows: Vec<Vec<VertexId>>) -> Result<Self, GraphError> {
+        let n = rows.len();
+        let mut half_edges = 0usize;
+        for (v, row) in rows.iter_mut().enumerate() {
+            if !row.windows(2).all(|w| w[0] < w[1]) {
+                row.sort_unstable();
+            }
+            let v = VertexId::from_index(v);
+            for (i, &w) in row.iter().enumerate() {
+                if w.index() >= n {
+                    return Err(GraphError::VertexOutOfRange { vertex: w, n });
+                }
+                if w == v {
+                    return Err(GraphError::SelfLoop { vertex: v });
+                }
+                if i > 0 && row[i - 1] == w {
+                    return Err(GraphError::ParallelEdge { u: v, v: w });
+                }
+            }
+            half_edges += row.len();
+        }
+        for (v, row) in rows.iter().enumerate() {
+            let v = VertexId::from_index(v);
+            if let Some(&w) = row
+                .iter()
+                .find(|&&w| rows[w.index()].binary_search(&v).is_err())
+            {
+                return Err(GraphError::MissingEdge { u: w, v });
+            }
+        }
+        Ok(Graph {
+            adj: rows,
+            m: half_edges / 2,
+        })
+    }
+
     /// Extracts the subgraph induced by `vertices`.
     ///
     /// Returns the induced graph (with vertices renumbered `0..k` in the
     /// order given) and the mapping from new index to original [`VertexId`].
+    /// Runs in `O(k log k + vol · log k)` time for `k` listed vertices of
+    /// total degree `vol`, independent of the host graph's size.
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::VertexOutOfRange`] if any listed vertex is
     /// invalid, and [`GraphError::ParallelEdge`] if the list contains
-    /// duplicates.
+    /// duplicates; when several entries are bad, the error names the first
+    /// one in list order.
     pub fn induced_subgraph(
         &self,
         vertices: &[VertexId],
     ) -> Result<(Graph, Vec<VertexId>), GraphError> {
-        let mut index: HashMap<VertexId, u32> = HashMap::with_capacity(vertices.len());
-        for (i, &v) in vertices.iter().enumerate() {
-            self.check_vertex(v)?;
-            if index.insert(v, i as u32).is_some() {
+        // (vertex, position) sorted by vertex: the lookup table for the
+        // rows, and duplicates sit next to each other.
+        let mut index: Vec<(VertexId, u32)> = vertices
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (v, i as u32))
+            .collect();
+        index.sort_unstable();
+        // The first bad list entry: out of range, or a repeat of an
+        // earlier entry.
+        let out_of_range = vertices.iter().position(|&v| self.check_vertex(v).is_err());
+        let repeat = index
+            .windows(2)
+            .filter(|w| w[0].0 == w[1].0)
+            .map(|w| w[1].1 as usize)
+            .min();
+        match (out_of_range, repeat) {
+            (Some(i), r) if r.is_none_or(|r| i <= r) => {
+                return Err(GraphError::VertexOutOfRange {
+                    vertex: vertices[i],
+                    n: self.adj.len(),
+                })
+            }
+            (_, Some(r)) => {
+                let v = vertices[r];
                 return Err(GraphError::ParallelEdge { u: v, v });
             }
+            _ => {}
         }
-        let mut sub = Graph::new(vertices.len());
-        for (i, &v) in vertices.iter().enumerate() {
-            for &w in self.neighbors(v) {
-                if let Some(&j) = index.get(&w) {
-                    if (i as u32) < j {
-                        sub.add_edge(VertexId(i as u32), VertexId(j))?;
-                    }
-                }
-            }
-        }
-        Ok((sub, vertices.to_vec()))
+        let mut m = 0usize;
+        let adj: Vec<Vec<VertexId>> = vertices
+            .iter()
+            .map(|&v| {
+                let mut row: Vec<VertexId> = self
+                    .neighbors(v)
+                    .iter()
+                    .filter_map(|&w| {
+                        index
+                            .binary_search_by_key(&w, |&(x, _)| x)
+                            .ok()
+                            .map(|j| VertexId(index[j].1))
+                    })
+                    .collect();
+                row.sort_unstable();
+                m += row.len();
+                row
+            })
+            .collect();
+        Ok((Graph { adj, m: m / 2 }, vertices.to_vec()))
     }
 
     /// Sum of `min(deg(u), deg(v))` over the edges of densest subgraphs is
@@ -348,6 +441,82 @@ mod tests {
     fn induced_subgraph_rejects_duplicates() {
         let g = k4();
         assert!(g.induced_subgraph(&[VertexId(1), VertexId(1)]).is_err());
+    }
+
+    #[test]
+    fn induced_subgraph_of_unsorted_list_has_sorted_rows() {
+        // A 6-cycle with one chord {0, 3}.
+        let g =
+            Graph::from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)]).unwrap();
+        let list = [VertexId(5), VertexId(3), VertexId(0), VertexId(4)];
+        let (sub, map) = g.induced_subgraph(&list).unwrap();
+        assert_eq!(map, list.to_vec());
+        // Local ids: 5 -> 0, 3 -> 1, 0 -> 2, 4 -> 3; edges 5-0, 5-4, 3-0,
+        // 3-4.
+        let expect = Graph::from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)]).unwrap();
+        assert_eq!(sub, expect);
+        for v in sub.vertices() {
+            assert!(sub.neighbors(v).windows(2).all(|w| w[0] < w[1]));
+        }
+    }
+
+    #[test]
+    fn induced_subgraph_names_the_first_bad_entry() {
+        let g = k4();
+        let v = VertexId;
+        assert_eq!(
+            g.induced_subgraph(&[v(2), v(0), v(2), v(0)]).unwrap_err(),
+            GraphError::ParallelEdge { u: v(2), v: v(2) }
+        );
+        assert_eq!(
+            g.induced_subgraph(&[v(1), v(3), v(0), v(3), v(1)])
+                .unwrap_err(),
+            GraphError::ParallelEdge { u: v(3), v: v(3) }
+        );
+        // An out-of-range entry before the first repeat wins, and after it
+        // loses.
+        assert_eq!(
+            g.induced_subgraph(&[v(1), v(9), v(1)]).unwrap_err(),
+            GraphError::VertexOutOfRange { vertex: v(9), n: 4 }
+        );
+        assert_eq!(
+            g.induced_subgraph(&[v(1), v(1), v(9)]).unwrap_err(),
+            GraphError::ParallelEdge { u: v(1), v: v(1) }
+        );
+        // A repeated out-of-range entry is out of range first.
+        assert_eq!(
+            g.induced_subgraph(&[v(7), v(7)]).unwrap_err(),
+            GraphError::VertexOutOfRange { vertex: v(7), n: 4 }
+        );
+        let (empty, map) = g.induced_subgraph(&[]).unwrap();
+        assert_eq!((empty.vertex_count(), map.len()), (0, 0));
+    }
+
+    #[test]
+    fn from_adjacency_round_trips_and_validates() {
+        let g = k4();
+        let rows: Vec<Vec<VertexId>> = g
+            .vertices()
+            .map(|v| g.neighbors(v).iter().rev().copied().collect())
+            .collect();
+        assert_eq!(Graph::from_adjacency(rows).unwrap(), g);
+        let v = VertexId;
+        assert_eq!(
+            Graph::from_adjacency(vec![vec![v(1)], vec![v(0), v(0)]]).unwrap_err(),
+            GraphError::ParallelEdge { u: v(1), v: v(0) }
+        );
+        assert_eq!(
+            Graph::from_adjacency(vec![vec![v(0)]]).unwrap_err(),
+            GraphError::SelfLoop { vertex: v(0) }
+        );
+        assert_eq!(
+            Graph::from_adjacency(vec![vec![v(2)], vec![]]).unwrap_err(),
+            GraphError::VertexOutOfRange { vertex: v(2), n: 2 }
+        );
+        assert_eq!(
+            Graph::from_adjacency(vec![vec![v(1)], vec![]]).unwrap_err(),
+            GraphError::MissingEdge { u: v(1), v: v(0) }
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use planar_graph::{Graph, RotationSystem, VertexId};
 
-use crate::lr::embed_lr;
+use crate::lr::{embed_lr, test_lr};
 use crate::PlanarityError;
 
 /// Computes a combinatorial planar embedding of `g` (any simple graph,
@@ -32,18 +32,27 @@ use crate::PlanarityError;
 /// # }
 /// ```
 pub fn embed(g: &Graph) -> Result<RotationSystem, PlanarityError> {
-    let n = g.vertex_count();
-    let m = g.edge_count();
-    if n >= 3 && m > 3 * n - 6 {
-        return Err(PlanarityError::TooManyEdges { n, m });
-    }
+    density_guard(g)?;
     let rot = embed_lr(g)?;
     Ok(RotationSystem::new(g, rot).expect("the left-right embedder yields valid rotations"))
 }
 
 /// Returns `true` if `g` is planar.
+///
+/// Runs the same density guard and left-right test as [`embed`] but
+/// builds no rotation system.
 pub fn is_planar(g: &Graph) -> bool {
-    embed(g).is_ok()
+    density_guard(g).is_ok() && test_lr(g).is_ok()
+}
+
+/// The planar edge bound `m <= 3n - 6` (for `n >= 3`).
+fn density_guard(g: &Graph) -> Result<(), PlanarityError> {
+    let n = g.vertex_count();
+    let m = g.edge_count();
+    if n >= 3 && m > 3 * n - 6 {
+        return Err(PlanarityError::TooManyEdges { n, m });
+    }
+    Ok(())
 }
 
 /// A planar embedding together with the cyclic order in which a set of
@@ -209,6 +218,45 @@ mod tests {
         )
         .unwrap();
         assert!(!is_planar(&k33));
+    }
+
+    #[test]
+    fn is_planar_agrees_with_embed() {
+        let mut graphs = vec![
+            crate::gen::complete(4),
+            crate::gen::complete(5),
+            crate::gen::grid(4, 5),
+            crate::gen::random_maximal_planar(40, 2),
+            Graph::new(0),
+            Graph::new(3),
+        ];
+        // Maximal planar plus one edge: past the density guard. K3,3
+        // subdivided inside a sparse graph: only the LR test rejects it.
+        let mut dense = crate::gen::random_maximal_planar(12, 5);
+        let (u, v) = (0..12u32)
+            .flat_map(|u| (u + 1..12).map(move |v| (VertexId(u), VertexId(v))))
+            .find(|&(u, v)| !dense.has_edge(u, v))
+            .unwrap();
+        dense.add_edge(u, v).unwrap();
+        graphs.push(dense);
+        let mut k33 = Graph::new(15);
+        let mut next = 6u32;
+        for a in 0..3u32 {
+            for b in 3..6u32 {
+                k33.add_edge(VertexId(a), VertexId(next)).unwrap();
+                k33.add_edge(VertexId(next), VertexId(b)).unwrap();
+                next += 1;
+            }
+        }
+        graphs.push(k33);
+        let verdicts: Vec<bool> = graphs.iter().map(is_planar).collect();
+        for (g, &planar) in graphs.iter().zip(&verdicts) {
+            assert_eq!(planar, embed(g).is_ok());
+        }
+        assert_eq!(
+            verdicts,
+            [true, false, true, true, true, true, false, false]
+        );
     }
 
     #[test]

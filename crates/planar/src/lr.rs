@@ -79,12 +79,25 @@ impl ConflictPair {
 /// The caller is expected to have applied the `m <= 3n - 6` density guard;
 /// the test itself is correct on denser inputs too, just not linear.
 pub(crate) fn embed_lr(g: &Graph) -> Result<Vec<Vec<VertexId>>, PlanarityError> {
-    let mut lr = LeftRight::orient(g);
-    lr.sort_out_edges(false);
-    lr.test()?;
+    let mut lr = tested(g)?;
     lr.resolve_signs();
     lr.sort_out_edges(true);
     Ok(lr.embed())
+}
+
+/// Runs the left-right test (phases 1 and 2) on `g` and stops there:
+/// [`PlanarityError::NonPlanar`] if `g` has no planar embedding, no
+/// rotations built otherwise.
+pub(crate) fn test_lr(g: &Graph) -> Result<(), PlanarityError> {
+    tested(g).map(|_| ())
+}
+
+/// Orients `g` and runs the LR partition test.
+fn tested(g: &Graph) -> Result<LeftRight, PlanarityError> {
+    let mut lr = LeftRight::orient(g);
+    lr.sort_out_edges(false);
+    lr.test()?;
+    Ok(lr)
 }
 
 /// The LR state. Vertices are indexed `0..n`; oriented edges `0..m` in the

@@ -82,8 +82,8 @@ pub struct ServiceConfig {
     /// Keep distributed certification artifacts resident and re-verify
     /// (with label splicing) on every delta.
     pub certify: bool,
-    /// Check framework invariants at every merge (the per-part safety BFS
-    /// is superlinear, see [`planar_embedding::EmbedderConfig`]; off by
+    /// Check framework invariants at every recursion level and merge
+    /// (linear per level, see [`planar_embedding::EmbedderConfig`]; off by
     /// default in the service path).
     pub check_invariants: bool,
     /// Full re-embed oracle policy.
